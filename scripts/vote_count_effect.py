@@ -14,22 +14,16 @@ from __future__ import annotations
 import argparse
 import statistics
 
-import numpy as np
-
-from gossipvote import SimConfig, Trajectory, convergence_tick, run, steady_change_rate
+from gossipvote import (
+    SimConfig,
+    Trajectory,
+    convergence_tick,
+    dissent_change_rate,
+    run,
+    steady_change_rate,
+)
 
 RATES = ("changes per dissenting agent-tick", "per-tick rate up to unanimity", "steady rate")
-
-
-def dissent_change_rate(traj: Trajectory, burn_in: int) -> float:
-    """Value changes per agent-tick spent outside the largest camp, after burn_in."""
-    dissent = sum(
-        snap.size - int(np.bincount(snap, minlength=traj.config.k + 1).max())
-        for snap in traj.snapshots[burn_in:-1]
-    )
-    if not dissent:
-        return 0.0
-    return sum(e.changed for e in traj.events[burn_in:]) / dissent
 
 
 def live_change_rate(traj: Trajectory, burn_in: int) -> float:

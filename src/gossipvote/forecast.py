@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import csv
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .engine import SimState, step
-from .integration import VoteSet, consensus_value, dominant_value
-from .model import AgentState, SimConfig, make_friend_graph
+from .engine import init, step
+from .integration import integrate
+from .model import SimConfig
 
 # the replay layer fixes these; only v/f/friend_prob/strategy vary by variant
 ACTIVATION_PROB = 0.5
@@ -186,51 +185,35 @@ def run_variant(
         if not available:
             raise DatasetError(f"day {day!r} has an actual but no predictions")
         values = [pred for _, pred in available]
-        out[day] = _integrate_day(values, spec, random.Random(seed + index))
+        out[day] = _integrate_day(values, spec, seed + index)
     return out
 
 
-def _integrate_day(values: list[int], spec: VariantSpec, rng: random.Random) -> int:
+def _integrate_day(values: list[int], spec: VariantSpec, seed: int) -> int:
     low = min(values)
     shifted = [value - low for value in values]
     k = max(shifted)
     if spec.gossip is not None:
-        shifted = _gossip_day(shifted, k, spec.gossip, rng)
-    votes = VoteSet(tuple(shifted), own=None)
-    if spec.supervisor == "dominant":
-        result = dominant_value(votes)
-    else:
-        result = consensus_value(votes, k)
-    return result + low
+        shifted = _gossip_day(shifted, k, spec.gossip, seed)
+    return integrate(shifted, None, spec.supervisor) + low
 
 
-def _gossip_day(values: list[int], k: int, params: GossipParams, rng: random.Random) -> list[int]:
+def _gossip_day(values: list[int], k: int, params: GossipParams, seed: int) -> list[int]:
     n = len(values)
     f = min(params.f, n - 1)  # small days cannot support the full friend count
     friend_prob = params.friend_prob if f > 0 else 0.0
     config = SimConfig(
-        n=n,
-        k=k,
-        v=params.v,
-        f=f,
-        friend_prob=friend_prob,
-        activation_prob=ACTIVATION_PROB,
-        strategy=params.strategy,
-        mixed_consensus_prob=params.mixed_consensus_prob,
-        include_self=INCLUDE_SELF,
-        max_ticks=max(params.gossip_ticks, 1),
+        n=n, k=k, v=params.v, f=f, friend_prob=friend_prob, activation_prob=ACTIVATION_PROB,
+        strategy=params.strategy, mixed_consensus_prob=params.mixed_consensus_prob,
+        include_self=INCLUDE_SELF, max_ticks=max(params.gossip_ticks, 1), seed=seed,
     )
-    graph = make_friend_graph(n, f, rng)
-    agents = [
-        AgentState(id=i, current=value, friends=graph.adjacency[i])
-        for i, value in enumerate(values)
-    ]
-    state = SimState(config=config, agents=agents, graph=graph, rng=rng)
+    # the day's seed gives the graph first, then no value draws: values are given
+    state = init(config, values=values)
     for _ in range(params.gossip_ticks):
         if state.is_absorbing():
             break
         step(state)
-    return [agent.current for agent in state.agents]
+    return state.values
 
 
 def mae(predictions: Mapping[str, float], actuals: Mapping[str, int]) -> float:

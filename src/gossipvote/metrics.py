@@ -94,6 +94,20 @@ def steady_change_rate(traj: Trajectory, burn_in: int) -> float:
     return sum(e.changed for e in tail) / (len(tail) * n)
 
 
+def dissent_change_rate(traj: Trajectory, burn_in: int) -> float:
+    """Value changes per dissenting agent-tick over the ticks after burn_in.
+
+    An agent dissents in a tick when it is outside the largest camp of the
+    snapshot before that tick, so unanimous ticks add nothing and the rate
+    does not depend on how long a run goes on after unanimity. A run with
+    no dissent left after burn_in scores 0.0.
+    """
+    k = traj.config.k
+    dissent = sum(snap.size - int(np.bincount(snap, minlength=k + 1).max())
+                  for snap in traj.snapshots[burn_in:-1])
+    return sum(e.changed for e in traj.events[burn_in:]) / dissent if dissent else 0.0
+
+
 def convergence_tick(traj: Trajectory) -> int | None:
     """First tick whose snapshot is unanimous (0 for a unanimous start), else None."""
     for tick, snap in enumerate(traj.snapshots):

@@ -1,9 +1,10 @@
-"""Agents, knowledge values, run parameters, and the preferential channel graph."""
+"""Knowledge values, run parameters, and the preferential channel graph."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,14 +19,19 @@ class ConfigError(ValueError):
     """A simulation parameter violates its constraint."""
 
 
-@dataclass(slots=True)
-class AgentState:
-    """One agent: identity, current value, outgoing friend channels, FIFO inbox."""
+# Exact types by annotation: an int passes as a float, a bool never as an int;
+# fields with other annotations are checked where they are used.
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
+                "int | None": (int, type(None))}
 
-    id: int
-    current: KnowledgeValue
-    friends: list[int]
-    inbox: list[KnowledgeValue] = field(default_factory=list)
+
+def check_field_types(config: object) -> None:
+    """Raise ConfigError naming the first dataclass field of the wrong type."""
+    for spec in dataclasses.fields(config):
+        value = getattr(config, spec.name)
+        if not isinstance(value, _FIELD_TYPES.get(spec.type, object)) or (
+                isinstance(value, bool) and spec.type != "bool"):
+            raise ConfigError(f"{spec.name} must be {spec.type}, got {value!r}")
 
 
 class FriendGraph:
@@ -95,8 +101,12 @@ class SimConfig:
                          integration (ignored by the other strategies)
     include_self         whether the agent's own value joins its vote set
     symmetric_friends    generate a mutual (f-regular undirected) friend graph
-    max_ticks            horizon; runs stop early only in an absorbing state
+    max_ticks            horizon; only an absorbing state (unanimous, every
+                         inbox empty) stops a run earlier, and a run that
+                         starts split practically never reaches one
     seed                 seed for the single run RNG
+
+    A field of the wrong type (see check_field_types) raises ConfigError.
     """
 
     n: int = 500
@@ -113,6 +123,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.k < 0:
@@ -205,24 +216,3 @@ def _symmetric_graph(n: int, f: int, rng: random.Random) -> FriendGraph:
 def _norm(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
-
-def select_target(
-    sender: AgentState, graph: FriendGraph, friend_prob: float, rng: random.Random
-) -> int:
-    """Pick a message target for an activated sender (graph must have >= 2 agents).
-
-    With probability friend_prob the target is a uniform pick from the sender's
-    friends; otherwise it is a uniform pick over all other agents (friends
-    included, so channels overlap rather than partition).
-    """
-    if friend_prob > 0.0:
-        friends = sender.friends
-        if not friends:
-            raise ValueError(
-                f"friend_prob={friend_prob} needs a non-empty friend list "
-                f"(agent {sender.id} has none)"
-            )
-        if rng.random() < friend_prob:
-            return friends[rng.randrange(len(friends))]
-    pick = rng.randrange(graph.n_agents - 1)
-    return pick if pick < sender.id else pick + 1

@@ -20,8 +20,8 @@ from typing import Callable, Sequence, TypeVar
 import numpy as np
 
 from .engine import Trajectory, init, run_state
-from .metrics import clustering_gap, convergence_tick, steady_change_rate, tick_metrics
-from .model import ConfigError, FriendGraph, SimConfig
+from .metrics import clustering_gap, convergence_tick, steady_change_rate, trajectory_metrics
+from .model import ConfigError, FriendGraph, SimConfig, check_field_types
 
 OUTPUT_KINDS = ("trajectory_csv", "metrics_csv", "summary_json")
 SWEEP_KEYS = ("n", "k", "v", "f", "friend_prob")
@@ -38,6 +38,7 @@ class Scenario:
     burn_in: int | None = None  # None -> a tenth of the horizon
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         unknown = [o for o in self.outputs if o not in OUTPUT_KINDS]
@@ -83,10 +84,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     bad = sorted(set(sim_raw) - _SIM_FIELDS)
     if bad:
         raise ConfigError(f"unknown sim keys: {', '.join(bad)}")
-    try:
-        sim = SimConfig(**sim_raw)
-    except TypeError as exc:  # e.g. a string where a number belongs
-        raise ConfigError(f"bad sim value: {exc}") from None
+    sim = SimConfig(**sim_raw)
     outputs = raw.get("outputs", list(OUTPUT_KINDS))
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
         raise ConfigError("outputs must be a list of strings")
@@ -138,19 +136,9 @@ def metrics_csv(traj: Trajectory, graph: FriendGraph) -> str:
     writer.writerow(
         ["tick", "winning_count", "change_rate", "friend_agreement", "random_agreement"]
     )
-    prev = traj.snapshots[0]
-    for tick, snap in enumerate(traj.snapshots):
-        tm = tick_metrics(prev, snap, graph, traj.config.k)
-        writer.writerow(
-            [
-                tick,
-                tm.winning_count,
-                repr(tm.change_rate),
-                repr(tm.friend_agreement),
-                repr(tm.random_agreement),
-            ]
-        )
-        prev = snap
+    for tick, tm in enumerate(trajectory_metrics(traj, graph)):
+        writer.writerow([tick, tm.winning_count, repr(tm.change_rate),
+                         repr(tm.friend_agreement), repr(tm.random_agreement)])
     return buf.getvalue()
 
 
@@ -193,7 +181,8 @@ _R = TypeVar("_R")
 def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[_R]:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))  # map preserves job order

@@ -14,7 +14,6 @@ from pathlib import Path
 from statistics import mean, median
 from time import perf_counter
 
-import numpy as np
 from oracles import median_cost_oracle, mode_oracle
 
 from gossipvote.engine import Trajectory, init, run, run_state, step
@@ -26,7 +25,12 @@ from gossipvote.forecast import (
     variant_by_name,
 )
 from gossipvote.integration import VoteSet, consensus_value, dominant_value
-from gossipvote.metrics import clustering_gap, convergence_tick, steady_change_rate
+from gossipvote.metrics import (
+    clustering_gap,
+    convergence_tick,
+    dissent_change_rate,
+    steady_change_rate,
+)
 from gossipvote.model import SimConfig
 from gossipvote.scenario import Scenario, simulate_scenario
 
@@ -64,25 +68,6 @@ def test_a02_consensus_matches_exhaustive_cost_scan():
     _report(f"consensus oracle: {checked}/{checked} multisets matched", perf_counter() - t0, 5.0)
 
 
-def _dissent_change_rate(traj: Trajectory, burn_in: int) -> float:
-    """Value changes per dissenting agent-tick over the ticks after burn_in.
-
-    An agent dissents in a tick when it is outside the largest camp of the
-    snapshot before that tick. A tick that starts unanimous adds no dissent
-    (and, in a03's runs, no change), so the rate does not depend on how long
-    a run goes on after unanimity. A run with no dissent left after burn_in
-    scores 0.0.
-    """
-    k = traj.config.k
-    dissent = sum(
-        snap.size - int(np.bincount(snap, minlength=k + 1).max())
-        for snap in traj.snapshots[burn_in:-1]
-    )
-    if not dissent:
-        return 0.0
-    return sum(e.changed for e in traj.events[burn_in:]) / dissent
-
-
 def _live_change_rate(traj: Trajectory, burn_in: int) -> float:
     """Mean per-agent change rate over ticks burn_in+1 .. convergence_tick(traj)."""
     converged_at = convergence_tick(traj)
@@ -101,7 +86,7 @@ def _vote_count_arm(v: int) -> tuple[dict[str, list[float]], str]:
             n=500, k=1, v=v, f=0, friend_prob=0.0, activation_prob=0.5,
             strategy="dominant", max_ticks=500, seed=1000 + s,
         ))
-        rates["dissent"].append(_dissent_change_rate(traj, burn_in=50))
+        rates["dissent"].append(dissent_change_rate(traj, burn_in=50))
         rates["live"].append(_live_change_rate(traj, burn_in=50))
         rates["steady"].append(steady_change_rate(traj, burn_in=50))
         tick = convergence_tick(traj)
@@ -208,12 +193,12 @@ def test_a05_unanimity_with_empty_inboxes_is_absorbing():
         )
         state = init(config)
         value = rng.randint(0, k)
-        for agent in state.agents:
-            agent.current = value
-            agent.inbox.clear()
+        state.values[:] = [value] * n
+        for inbox in state.inboxes:
+            inbox.clear()
         changed = sum(step(state).changed for _ in range(100))
         assert changed == 0, f"case {case}: {changed} changes after injected unanimity"
-        assert all(agent.current == value for agent in state.agents)
+        assert state.values == [value] * n
     _report("absorption: 50 injected unanimous states, 100 ticks each, 0 changes",
             perf_counter() - t0, 10.0)
 

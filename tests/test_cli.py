@@ -60,6 +60,29 @@ class TestSimulateCommand:
         assert err.startswith("error:")
         assert "v" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "replications", "3"),
+            (None, "burn_in", "5"),
+            (None, "label", 5),
+            ("sim", "max_ticks", True),
+            ("sim", "include_self", "no"),
+            ("sim", "n", 20.0),
+            ("sim", "seed", "abc"),
+        ],
+    )
+    def test_wrong_value_type_is_one_error_line(self, tmp_path, capsys, section, key, value):
+        payload = json.loads(small_scenario_file(tmp_path).read_text())
+        (payload if section is None else payload[section])[key] = value
+        path = tmp_path / "typed.scenario"
+        path.write_text(json.dumps(payload))
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INVALID
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be"), lines
+        assert not (tmp_path / "o").exists()
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = main(
             ["simulate", "--scenario", str(tmp_path / "absent.scenario"),

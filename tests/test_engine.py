@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipvote.engine import SimState, init, run, run_state, step
-from gossipvote.model import AgentState, FriendGraph, SimConfig
+from gossipvote.model import FriendGraph, SimConfig
 
 
 def small_configs() -> st.SearchStrategy[SimConfig]:
@@ -44,20 +44,18 @@ def two_agent_state(a: int, b: int, v: int = 1, include_self: bool = False) -> S
     config = SimConfig(
         n=2, k=1, v=v, f=0, activation_prob=1.0, include_self=include_self, max_ticks=10, seed=0
     )
-    graph = FriendGraph([[], []])
-    agents = [
-        AgentState(id=0, current=a, friends=graph.adjacency[0]),
-        AgentState(id=1, current=b, friends=graph.adjacency[1]),
-    ]
-    return SimState(config=config, agents=agents, graph=graph, rng=random.Random(0))
+    return SimState(
+        config=config, values=[a, b], inboxes=[[], []], graph=FriendGraph([[], []]),
+        rng=random.Random(0),
+    )
 
 
 class TestInit:
     def test_init_shape_and_domain(self):
         state = init(SimConfig(n=500, k=1, seed=42))
-        assert len(state.agents) == 500
-        assert all(agent.current in (0, 1) for agent in state.agents)
-        assert all(agent.inbox == [] for agent in state.agents)
+        assert len(state.values) == len(state.inboxes) == 500
+        assert all(value in (0, 1) for value in state.values)
+        assert all(inbox == [] for inbox in state.inboxes)
 
     def test_initial_split_is_roughly_even_across_seeds(self):
         ones = [
@@ -70,16 +68,36 @@ class TestInit:
         assert (init(config).snapshot() == init(config).snapshot()).all()
 
     def test_agent_friends_alias_graph_rows(self):
-        state = init(SimConfig(n=20, k=1, f=3, friend_prob=0.5, seed=1))
-        for agent in state.agents:
-            assert agent.friends == state.graph.adjacency[agent.id]
+        # friend sends go along the state's graph rows: with friend_prob=1
+        # every message lands with a friend of its sender (values are ids)
+        config = SimConfig(n=20, k=19, v=10**6, f=3, friend_prob=1.0, activation_prob=1.0, seed=1)
+        state = init(config, values=list(range(20)))
+        step(state)
+        pairs = [(s, t) for t, inbox in enumerate(state.inboxes) for s in inbox]
+        assert len(pairs) == 20
+        assert all(t in state.graph.adjacency[s] for s, t in pairs)
+
+    def test_given_values_draw_nothing(self):
+        config = SimConfig(n=6, k=3, f=2, friend_prob=0.5, seed=4)
+        given = init(config, values=[3, 0, 1, 2, 2, 0])
+        drawn = init(config)
+        assert given.values == [3, 0, 1, 2, 2, 0]
+        assert given.graph == drawn.graph
+        # the same stream, short of exactly the n value draws init skipped
+        assert [given.rng.randint(0, config.k) for _ in range(config.n)] == drawn.values
+        assert given.rng.getstate() == drawn.rng.getstate()
+
+    @pytest.mark.parametrize("values", [[0, 1], [0, 1, 2], [0, 1, -1]])
+    def test_given_values_must_fit_the_config(self, values):
+        with pytest.raises(ValueError, match="initial values"):
+            init(SimConfig(n=3, k=1, seed=0), values=values)
 
 
 class TestStep:
     def test_unanimous_two_agents_integrate_without_change(self):
         state = two_agent_state(0, 0, v=1, include_self=False)
         events = step(state)
-        assert [agent.current for agent in state.agents] == [0, 0]
+        assert state.values == [0, 0]
         assert events.integrations == 2
         assert events.changed == 0
 
@@ -87,16 +105,16 @@ class TestStep:
         # both send before either integrates, so the values cross
         state = two_agent_state(0, 1, v=1, include_self=False)
         events = step(state)
-        assert [agent.current for agent in state.agents] == [1, 0]
+        assert state.values == [1, 0]
         assert events.changed == 2
 
     def test_single_agent_is_a_fixed_point_but_consumes_activation(self):
         config = SimConfig(n=1, k=1, activation_prob=1.0, max_ticks=5, seed=3)
         state = init(config)
-        before = state.agents[0].current
+        before = state.values[0]
         rng_before = state.rng.getstate()
         events = step(state)
-        assert state.agents[0].current == before
+        assert state.values[0] == before
         assert events.sent == 0 and events.integrations == 0
         # the activation coin was still drawn: the rng advanced exactly once
         assert state.rng.getstate() != rng_before
@@ -115,7 +133,7 @@ class TestStep:
             # changes only happen inside integrations
             assert events.changed <= events.integrations
             # inbox discipline: below the trigger after phase 3
-            assert all(len(agent.inbox) < config.v for agent in state.agents)
+            assert all(len(inbox) < config.v for inbox in state.inboxes)
             # closed domain
             assert snap.min() >= 0 and snap.max() <= k
             # histogram step bound: each change moves one agent between bins
@@ -190,11 +208,8 @@ class TestRun:
                 max_ticks=10,
                 seed=rng.randrange(1000),
             )
-            state = init(config)
             value = rng.randrange(0, k + 1)
-            for agent in state.agents:
-                agent.current = value
-                agent.inbox.clear()
+            state = init(config, values=[value] * n)
             for _ in range(100):
                 assert step(state).changed == 0
             assert (state.snapshot() == value).all()

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from gossipvote.engine import SimState, init, step
 from gossipvote.model import (
-    AgentState,
     ConfigError,
     FriendGraph,
     SimConfig,
     make_friend_graph,
-    select_target,
 )
 
 
@@ -42,6 +41,29 @@ class TestSimConfigValidation:
     def test_rejects_bad_fields_naming_them(self, kwargs, fragment):
         with pytest.raises(ConfigError, match=fragment):
             SimConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=20.0),
+            dict(v=True),
+            dict(max_ticks=True),
+            dict(seed="abc"),
+            dict(include_self="no"),
+            dict(symmetric_friends=1),
+            dict(strategy=1),
+            dict(f=2, friend_prob="0.5"),
+            dict(activation_prob=None),
+        ],
+    )
+    def test_rejects_wrong_types_naming_the_field(self, kwargs):
+        name = list(kwargs)[-1]
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            SimConfig(**kwargs)
+
+    def test_int_stands_for_float(self):
+        config = SimConfig(f=2, friend_prob=1, activation_prob=1, mixed_consensus_prob=0)
+        assert config.friend_prob == 1 and config.activation_prob == 1
 
     def test_config_error_is_a_value_error(self):
         assert issubclass(ConfigError, ValueError)
@@ -127,59 +149,69 @@ class TestMakeFriendGraph:
             make_friend_graph(5, 3, random.Random(0), symmetric=True)
 
 
-def _sender(agent_id: int, friends: list[int]) -> AgentState:
-    return AgentState(id=agent_id, current=0, friends=friends)
+def _probe(n: int, f: int = 0, friend_prob: float = 0.0, seed: int = 0) -> SimState:
+    """A state in which every agent sends each tick and nobody integrates.
+
+    Each agent holds its own id as its value, so an inbox lists its senders.
+    """
+    config = SimConfig(
+        n=n, k=n - 1, v=10**9, f=f, friend_prob=friend_prob, activation_prob=1.0, seed=seed
+    )
+    return init(config, values=list(range(n)))
+
+
+def _sends(state: SimState) -> list[tuple[int, int]]:
+    """(sender, target) of every message of one tick; empties the inboxes."""
+    step(state)
+    pairs = [(sender, target) for target, inbox in enumerate(state.inboxes) for sender in inbox]
+    for inbox in state.inboxes:
+        inbox.clear()
+    return pairs
 
 
 class TestSelectTarget:
+    """Target selection of activated senders, run through engine.step."""
+
     def test_never_returns_sender(self):
-        rng = random.Random(11)
-        graph = make_friend_graph(17, 4, rng)
-        for _ in range(4000):
-            sender_id = rng.randrange(17)
-            target = select_target(
-                _sender(sender_id, graph.adjacency[sender_id]), graph, 0.5, rng
-            )
-            assert target != sender_id
-            assert 0 <= target < 17
+        state = _probe(17, f=4, friend_prob=0.5, seed=11)
+        for _ in range(250):
+            for sender, target in _sends(state):
+                assert target != sender
+                assert 0 <= target < 17
 
     def test_friend_prob_one_single_friend_is_forced(self):
-        graph = FriendGraph([[1], [0]])
-        rng = random.Random(2)
-        assert all(
-            select_target(_sender(0, [1]), graph, 1.0, rng) == 1 for _ in range(100)
-        )
+        state = _probe(2, f=1, friend_prob=1.0, seed=2)
+        assert state.graph == FriendGraph([[1], [0]])
+        assert all(_sends(state) == [(1, 0), (0, 1)] for _ in range(100))
 
     def test_rejects_friendless_sender_with_positive_friend_prob(self):
-        graph = FriendGraph([[], []])
+        state = _probe(2, f=1, friend_prob=0.4)
+        state.graph = FriendGraph([[], []])
         with pytest.raises(ValueError, match="friend"):
-            select_target(_sender(0, []), graph, 0.4, random.Random(0))
+            step(state)
 
     def test_friend_hit_frequency_matches_mixture(self):
         # friends can also be hit through the uniform branch:
         # P(hit) = 0.4 + 0.6 * 20/499, checked to three standard errors
-        rng = random.Random(20240817)
-        graph = make_friend_graph(500, 20, rng)
-        sender = _sender(0, graph.adjacency[0])
-        friends = set(sender.friends)
-        draws = 100_000
-        hits = sum(
-            select_target(sender, graph, 0.4, rng) in friends for _ in range(draws)
-        )
+        state = _probe(500, f=20, friend_prob=0.4, seed=20240817)
+        friends = [set(row) for row in state.graph.adjacency]
+        pairs = [pair for _ in range(200) for pair in _sends(state)]
+        draws = len(pairs)
+        assert draws == 100_000
+        hits = sum(target in friends[sender] for sender, target in pairs)
         expected = 0.4 + 0.6 * (20 / 499)
         tolerance = 3 * (expected * (1 - expected) / draws) ** 0.5
         assert abs(hits / draws - expected) < tolerance
 
     def test_uniform_when_friend_prob_zero(self):
-        # goodness of fit over all 499 non-self targets at significance 0.01
-        rng = random.Random(99)
-        graph = make_friend_graph(500, 0, rng)
-        sender = _sender(250, [])
-        draws = 100_000
+        # goodness of fit over all 499 non-self targets at significance 0.01,
+        # pooled over senders as the offset (target - sender) mod 500
+        state = _probe(500, seed=99)
         counts = [0] * 500
-        for _ in range(draws):
-            counts[select_target(sender, graph, 0.0, rng)] += 1
-        assert counts[250] == 0
-        observed = counts[:250] + counts[251:]
-        result = stats.chisquare(observed)
+        for _ in range(200):
+            for sender, target in _sends(state):
+                counts[(target - sender) % 500] += 1
+        assert sum(counts) == 100_000
+        assert counts[0] == 0
+        result = stats.chisquare(counts[1:])
         assert result.pvalue > 0.01

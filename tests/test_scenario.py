@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gossipvote.engine import init, run
+from gossipvote import scenario as scenario_module
 from gossipvote.model import ConfigError, SimConfig
 from gossipvote.scenario import (
     SWEEP_COLUMNS,
@@ -70,6 +71,14 @@ class TestScenarioConfig:
     def test_zero_replications_rejected(self):
         with pytest.raises(ConfigError, match="replications"):
             small_scenario(replications=0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(replications="3"), dict(replications=True), dict(burn_in=True), dict(label=5)],
+    )
+    def test_rejects_wrong_types_naming_the_field(self, overrides):
+        with pytest.raises(ConfigError, match=f"{next(iter(overrides))} must be"):
+            small_scenario(**overrides)
 
     def test_burn_in_must_leave_a_tail(self):
         with pytest.raises(ConfigError, match="burn_in"):
@@ -175,6 +184,36 @@ class TestSimulateScenario:
     def test_rejects_nonpositive_workers(self, tmp_path):
         with pytest.raises(ConfigError, match="workers"):
             simulate_scenario(small_scenario(), tmp_path, workers=0)
+
+
+@pytest.mark.parametrize(
+    "workers, jobs, cpus, pool_sizes",
+    [(8, 5, 3, [3]), (2, 5, 3, [2]), (8, 2, 4, [2]), (4, 1, 4, []), (4, 5, None, [])],
+)
+def test_worker_count_is_bounded_by_jobs_and_cpus(monkeypatch, workers, jobs, cpus, pool_sizes):
+    created: list[int] = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
+
+        def __init__(self, max_workers: int):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scenario_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(scenario_module.os, "cpu_count", lambda: cpus)
+    assert scenario_module._map_jobs(abs, list(range(-jobs, 0)), workers) == list(
+        range(jobs, 0, -1)
+    )
+    assert created == pool_sizes
 
 
 class TestParseGrid:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import statistics
 
-from gossipvote import SimConfig, clustering_gap, init, run_state
+from gossipvote import SimConfig, init, observe, run_state
 
 
 def mean_gap(friend_prob: float, seed: int, args: argparse.Namespace) -> float:
@@ -28,8 +28,7 @@ def mean_gap(friend_prob: float, seed: int, args: argparse.Namespace) -> float:
         )
     )
     traj = run_state(state)
-    ticks = range(args.first_tick, args.last_tick + 1)
-    return statistics.mean(clustering_gap(traj, state.graph, t) for t in ticks)
+    return statistics.mean(observe(traj, state.graph).gaps(args.first_tick, args.last_tick + 1))
 
 
 def main() -> int:

@@ -16,34 +16,30 @@ import statistics
 
 from gossipvote import (
     SimConfig,
-    Trajectory,
     convergence_tick,
     dissent_change_rate,
-    run,
+    init,
+    live_change_rate,
+    observe,
+    run_state,
     steady_change_rate,
 )
 
 RATES = ("changes per dissenting agent-tick", "per-tick rate up to unanimity", "steady rate")
 
 
-def live_change_rate(traj: Trajectory, burn_in: int) -> float:
-    """Mean per-agent change rate over ticks burn_in+1 .. convergence_tick(traj)."""
-    live = traj.events[burn_in:convergence_tick(traj)]
-    if not live:
-        return 0.0
-    return sum(e.changed for e in live) / (len(live) * traj.config.n)
-
-
 def arm(v: int, seed: int, horizon: int, burn_in: int) -> tuple[tuple[float, ...], int | None]:
-    traj = run(
+    state = init(
         SimConfig(n=500, k=1, v=v, f=0, activation_prob=0.5, max_ticks=horizon, seed=seed)
     )
+    traj = run_state(state)
+    obs = observe(traj, state.graph)
     rates = (
-        dissent_change_rate(traj, burn_in),
-        live_change_rate(traj, burn_in),
+        dissent_change_rate(obs, burn_in),
+        live_change_rate(obs, burn_in),
         steady_change_rate(traj, burn_in),
     )
-    return rates, convergence_tick(traj)
+    return rates, convergence_tick(obs)
 
 
 def main() -> int:

@@ -7,14 +7,20 @@ name), 2 I/O failure (missing files, unwritable output directory).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Sequence
 
 from . import forecast as fc
 from .model import ConfigError
-from .scenario import load_scenario, parse_grid, simulate_scenario, sweep_scenario
+from .scenario import (
+    json_text,
+    load_scenario,
+    parse_grid,
+    simulate_scenario,
+    sweep_scenario,
+    write_atomic,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -102,11 +108,9 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     print(table, end="")
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.txt"), "w") as fh:
-            fh.write(table)
-        with open(os.path.join(args.out, "report.json"), "w") as fh:
-            json.dump(fc.report_payload(reports, args.seed), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(os.path.join(args.out, "report.txt"), table)
+        write_atomic(os.path.join(args.out, "report.json"),
+                     json_text(fc.report_payload(reports, args.seed)))
         print(os.path.join(args.out, "report.txt"), file=sys.stderr)
         print(os.path.join(args.out, "report.json"), file=sys.stderr)
     return EXIT_OK

@@ -51,8 +51,10 @@ class SimState:
     rng: random.Random
 
     def snapshot(self) -> np.ndarray:
-        """Copy of every agent's current value, indexed by agent id."""
-        return np.array(self.values, dtype=np.int64)
+        """Read-only copy of every agent's current value, indexed by agent id."""
+        snap = np.array(self.values, dtype=np.int64)
+        snap.flags.writeable = False
+        return snap
 
     def is_absorbing(self) -> bool:
         """Unanimous values and empty inboxes: nothing can ever change again."""
@@ -65,6 +67,9 @@ class Trajectory:
     """One run's record: value snapshots (initial state included) and tick events.
 
     snapshots[t] is the population after tick t; len(snapshots) == len(events)+1.
+    Snapshots are read-only, and a tick that changed no value records the
+    previous tick's snapshot object again (snapshots[t] is snapshots[t-1]), so
+    the observer computes each distinct population once.
     Only an absorbing state ends a run before max_ticks, and it needs every
     inbox empty too, which a run that starts split practically never reaches.
     """
@@ -156,15 +161,20 @@ def run_state(state: SimState) -> Trajectory:
     """Run an initialized state to its horizon, recording one snapshot per tick.
 
     The absorbing check runs before each tick, so an initially unanimous
-    population yields an empty-events trajectory immediately.
+    population yields an empty-events trajectory immediately. A tick that
+    changed no value shares the previous snapshot instead of copying it.
     """
-    snapshots = [state.snapshot()]
+    snapshot = state.snapshot()
+    snapshots = [snapshot]
     events: list[TickEvents] = []
     for _ in range(state.config.max_ticks):
         if state.is_absorbing():
             break
-        events.append(step(state))
-        snapshots.append(state.snapshot())
+        tick = step(state)
+        events.append(tick)
+        if tick.changed:
+            snapshot = state.snapshot()
+        snapshots.append(snapshot)
     return Trajectory(snapshots=snapshots, events=events, config=state.config)
 
 

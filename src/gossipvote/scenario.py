@@ -15,13 +15,13 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .engine import Trajectory, init, run_state
-from .metrics import clustering_gap, convergence_tick, steady_change_rate, trajectory_metrics
-from .model import ConfigError, FriendGraph, SimConfig, check_field_types
+from .engine import init, run_state
+from .metrics import Observation, convergence_tick, observe, steady_change_rate
+from .model import ConfigError, SimConfig, check_field_types
 
 OUTPUT_KINDS = ("trajectory_csv", "metrics_csv", "summary_json")
 SWEEP_KEYS = ("n", "k", "v", "f", "friend_prob")
@@ -107,39 +107,60 @@ def load_scenario(path: str) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, json_text(scenario_to_dict(scenario)))
 
 
 # ---------------------------------------------------------------------------
 # output writers
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temporary file in the same directory.
+
+    The temporary file replaces path only once it is complete, so a write
+    that fails leaves neither a partial path nor the temporary file.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def json_text(payload: object) -> str:
+    """The JSON layout of every output file: indented, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def trajectory_csv(obs: Observation) -> str:
     """Long-form per-tick value histogram: tick,value,count."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["tick", "value", "count"])
-    k = traj.config.k
-    for tick, snap in enumerate(traj.snapshots):
-        hist = np.bincount(snap, minlength=k + 1)
-        for value in range(k + 1):
-            writer.writerow([tick, value, int(hist[value])])
-    return buf.getvalue()
+    return _csv_text(("tick", "value", "count"), (
+        (tick, value, count)
+        for tick, hist in enumerate(obs.histograms)
+        for value, count in enumerate(hist.tolist())
+    ))
 
 
-def metrics_csv(traj: Trajectory, graph: FriendGraph) -> str:
+def metrics_csv(obs: Observation) -> str:
     """Per-tick observer metrics; tick 0 has change_rate 0 by construction."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["tick", "winning_count", "change_rate", "friend_agreement", "random_agreement"]
+    return _csv_text(
+        ("tick", "winning_count", "change_rate", "friend_agreement", "random_agreement"),
+        zip(range(len(obs.winning_count)), obs.winning_count, obs.change_rate,
+            obs.friend_agreement, obs.random_agreement),
     )
-    for tick, tm in enumerate(trajectory_metrics(traj, graph)):
-        writer.writerow([tick, tm.winning_count, repr(tm.change_rate),
-                         repr(tm.friend_agreement), repr(tm.random_agreement)])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +180,19 @@ def _run_replication(args: tuple[Scenario, int]) -> ReplicationOutput:
     config = scenario.replication_config(index)
     state = init(config)
     traj = run_state(state)
+    obs = observe(traj, state.graph)
     summary = {
         "seed": config.seed,
         "steady_change_rate": steady_change_rate(traj, scenario.effective_burn_in()),
-        "convergence_tick": convergence_tick(traj),
-        "final_winning_count": int(np.bincount(traj.snapshots[-1]).max()),
+        "convergence_tick": convergence_tick(obs),
+        "final_winning_count": obs.winning_count[-1],
         "ticks": traj.n_ticks,
     }
     return ReplicationOutput(
         index=index,
         summary=summary,
-        trajectory_csv=trajectory_csv(traj) if "trajectory_csv" in scenario.outputs else None,
-        metrics_csv=metrics_csv(traj, state.graph) if "metrics_csv" in scenario.outputs else None,
+        trajectory_csv=trajectory_csv(obs) if "trajectory_csv" in scenario.outputs else None,
+        metrics_csv=metrics_csv(obs) if "metrics_csv" in scenario.outputs else None,
     )
 
 
@@ -181,11 +203,18 @@ _R = TypeVar("_R")
 def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[_R]:
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), _usable_cpus())
     if workers <= 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))  # map preserves job order
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def simulate_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> list[str]:
@@ -197,11 +226,11 @@ def simulate_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> lis
     for result in results:
         if result.trajectory_csv is not None:
             path = os.path.join(out_dir, f"trajectory_rep{result.index:03d}.csv")
-            _write_text(path, result.trajectory_csv)
+            write_atomic(path, result.trajectory_csv)
             written.append(path)
         if result.metrics_csv is not None:
             path = os.path.join(out_dir, f"metrics_rep{result.index:03d}.csv")
-            _write_text(path, result.metrics_csv)
+            write_atomic(path, result.metrics_csv)
             written.append(path)
     if "summary_json" in scenario.outputs:
         payload = {
@@ -210,16 +239,9 @@ def simulate_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> lis
             "replications": [result.summary for result in results],
         }
         path = os.path.join(out_dir, "summary.json")
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(path, json_text(payload))
         written.append(path)
     return written
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -285,22 +307,21 @@ def _sweep_job(args: tuple[SimConfig, int]) -> tuple[float, bool, float]:
     config, burn_in = args
     state = init(config)
     traj = run_state(state)
+    obs = observe(traj, state.graph)
     return (
         steady_change_rate(traj, burn_in),
-        convergence_tick(traj) is not None,
-        _mean_gap(traj, state.graph, burn_in),
+        convergence_tick(obs) is not None,
+        _mean_gap(obs, burn_in),
     )
 
 
-def _mean_gap(traj: Trajectory, graph: FriendGraph, burn_in: int) -> float:
+def _mean_gap(obs: Observation, burn_in: int) -> float:
     """Mean clustering gap over recorded ticks after burn_in.
 
     A run absorbed at or before burn_in contributes its final tick's gap.
     """
-    last = len(traj.snapshots) - 1
-    ticks = range(burn_in + 1, last + 1) if last > burn_in else [last]
-    gaps = [clustering_gap(traj, graph, t) for t in ticks]
-    return float(np.mean(gaps))
+    last = len(obs.winning_count) - 1
+    return float(np.mean(obs.gaps(burn_in + 1 if last > burn_in else last, last + 1)))
 
 
 def sweep_scenario(
@@ -354,16 +375,9 @@ def sweep_scenario(
             }
         )
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row[col] if col in ("n", "k", "v", "f", "replications")
-                    else repr(float(row[col]))
-                    for col in SWEEP_COLUMNS
-                ]
-            )
+    write_atomic(os.path.join(out_dir, "sweep.csv"), _csv_text(SWEEP_COLUMNS, (
+        [row[col] if col in ("n", "k", "v", "f", "replications") else repr(float(row[col]))
+         for col in SWEEP_COLUMNS]
+        for row in rows
+    )))
     return rows, skipped

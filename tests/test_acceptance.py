@@ -16,7 +16,7 @@ from time import perf_counter
 
 from oracles import median_cost_oracle, mode_oracle
 
-from gossipvote.engine import Trajectory, init, run, run_state, step
+from gossipvote.engine import init, run_state, step
 from gossipvote.forecast import (
     compare_report,
     evaluate_variant,
@@ -26,9 +26,10 @@ from gossipvote.forecast import (
 )
 from gossipvote.integration import VoteSet, consensus_value, dominant_value
 from gossipvote.metrics import (
-    clustering_gap,
     convergence_tick,
     dissent_change_rate,
+    live_change_rate,
+    observe,
     steady_change_rate,
 )
 from gossipvote.model import SimConfig
@@ -68,28 +69,21 @@ def test_a02_consensus_matches_exhaustive_cost_scan():
     _report(f"consensus oracle: {checked}/{checked} multisets matched", perf_counter() - t0, 5.0)
 
 
-def _live_change_rate(traj: Trajectory, burn_in: int) -> float:
-    """Mean per-agent change rate over ticks burn_in+1 .. convergence_tick(traj)."""
-    converged_at = convergence_tick(traj)
-    live = traj.events[burn_in:converged_at]
-    if not live:
-        return 0.0
-    return sum(e.changed for e in live) / (len(live) * traj.config.n)
-
-
 def _vote_count_arm(v: int) -> tuple[dict[str, list[float]], str]:
     """Three rates of each of one arm's 30 seeded runs, and a convergence summary."""
     rates: dict[str, list[float]] = {"dissent": [], "live": [], "steady": []}
     converged = []
     for s in range(30):
-        traj = run(SimConfig(
+        state = init(SimConfig(
             n=500, k=1, v=v, f=0, friend_prob=0.0, activation_prob=0.5,
             strategy="dominant", max_ticks=500, seed=1000 + s,
         ))
-        rates["dissent"].append(dissent_change_rate(traj, burn_in=50))
-        rates["live"].append(_live_change_rate(traj, burn_in=50))
+        traj = run_state(state)
+        obs = observe(traj, state.graph)
+        rates["dissent"].append(dissent_change_rate(obs, burn_in=50))
+        rates["live"].append(live_change_rate(obs, burn_in=50))
         rates["steady"].append(steady_change_rate(traj, burn_in=50))
-        tick = convergence_tick(traj)
+        tick = convergence_tick(obs)
         if tick is not None:
             converged.append(tick)
     where = f"median tick {median(converged):g}" if converged else "no median"
@@ -148,8 +142,7 @@ def _mean_gap_after_burn_in(v: int, f: int, friend_prob: float, seed: int) -> fl
     state = init(config)
     traj = run_state(state)
     last = traj.n_ticks
-    ticks = range(50, last + 1) if last > 50 else [last]
-    return mean(clustering_gap(traj, state.graph, t) for t in ticks)
+    return mean(observe(traj, state.graph).gaps(50 if last > 50 else last, last + 1))
 
 
 def test_a04_friend_channels_create_positive_clustering_gap():

@@ -1,16 +1,23 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gossipvote.engine import init, run
+from gossipvote.engine import init, run_state
+from gossipvote.metrics import observe
 from gossipvote import scenario as scenario_module
 from gossipvote.model import ConfigError, SimConfig
 from gossipvote.scenario import (
+    OUTPUT_KINDS,
     SWEEP_COLUMNS,
     Scenario,
     grid_cells,
@@ -23,6 +30,7 @@ from gossipvote.scenario import (
     simulate_scenario,
     sweep_scenario,
     trajectory_csv,
+    write_atomic,
 )
 
 
@@ -107,8 +115,9 @@ class TestScenarioConfig:
 
 class TestCsvRendering:
     def test_trajectory_csv_shape(self):
-        traj = run(SimConfig(n=10, k=2, v=2, max_ticks=5, seed=3))
-        text = trajectory_csv(traj)
+        state = init(SimConfig(n=10, k=2, v=2, max_ticks=5, seed=3))
+        traj = run_state(state)
+        text = trajectory_csv(observe(traj, state.graph))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["tick", "value", "count"]
         body = rows[1:]
@@ -122,9 +131,8 @@ class TestCsvRendering:
     def test_metrics_csv_shape(self):
         config = SimConfig(n=10, k=1, v=2, f=2, friend_prob=0.5, max_ticks=5, seed=3)
         state = init(config)
-        graph = state.graph
-        traj = run(config)
-        text = metrics_csv(traj, graph)
+        traj = run_state(state)
+        text = metrics_csv(observe(traj, state.graph))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == [
             "tick", "winning_count", "change_rate", "friend_agreement", "random_agreement",
@@ -134,6 +142,77 @@ class TestCsvRendering:
             assert 1 <= int(row[1]) <= 10
             for cell in row[2:]:
                 assert 0.0 <= float(cell) <= 1.0
+
+
+    def test_equal_but_distinct_snapshots_give_the_same_csv_bytes(self):
+        """A hand-built trajectory, one array per tick, writes what the run writes."""
+        state = init(SimConfig(n=60, k=1, v=3, f=4, friend_prob=0.4, max_ticks=300, seed=14))
+        traj = run_state(state)
+        copied = dataclasses.replace(traj, snapshots=[np.array(s) for s in traj.snapshots])
+        assert any(a is b for a, b in zip(traj.snapshots, traj.snapshots[1:]))
+        assert len({id(s) for s in copied.snapshots}) == len(copied.snapshots)
+        shared, distinct = observe(traj, state.graph), observe(copied, state.graph)
+        assert trajectory_csv(distinct) == trajectory_csv(shared)
+        assert metrics_csv(distinct) == metrics_csv(shared)
+
+
+class TestWriteAtomic:
+    def test_replaces_the_whole_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_atomic(str(path), "a,b\r\n" * 100)
+        write_atomic(str(path), "c\r\n")
+        assert path.read_bytes() == b"c\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    @pytest.mark.parametrize("existing", [None, "old contents\n"])
+    def test_write_failing_midway_leaves_no_partial_target_or_temp(
+            self, tmp_path, monkeypatch, existing):
+        path = tmp_path / "out.csv"
+        if existing is not None:
+            path.write_text(existing)
+        monkeypatch.setattr(scenario_module, "open", open_failing_midway("out.csv"),
+                            raising=False)
+        with pytest.raises(OSError, match="No space"):
+            write_atomic(str(path), "tick,value,count\r\n" * 1000)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["out.csv"])
+        if existing is not None:
+            assert path.read_text() == existing
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(scenario_module.os, "replace", refuse)
+        with pytest.raises(PermissionError):
+            write_atomic(str(tmp_path / "summary.json"), "{}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulate_failing_midway_keeps_only_complete_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_module, "open", open_failing_midway("metrics_rep000"),
+                            raising=False)
+        scenario = small_scenario(replications=1)
+        with pytest.raises(OSError, match="No space"):
+            simulate_scenario(scenario, str(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory_rep000.csv"]
+        state = init(scenario.replication_config(0))
+        expected = trajectory_csv(observe(run_state(state), state.graph))
+        assert (tmp_path / "trajectory_rep000.csv").read_bytes() == expected.encode()
+
+
+def open_failing_midway(name_part: str):
+    """open() whose files named with name_part fail a write after half of it is on disk."""
+    def fake_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if name_part in str(file):
+            real_write = fh.write
+
+            def write(text):
+                real_write(text[: len(text) // 2])
+                fh.flush()
+                raise OSError(28, "No space left on device")
+            fh.write = write
+        return fh
+    return fake_open
 
 
 class TestSimulateScenario:
@@ -191,6 +270,26 @@ class TestSimulateScenario:
     [(8, 5, 3, [3]), (2, 5, 3, [2]), (8, 2, 4, [2]), (4, 1, 4, []), (4, 5, None, [])],
 )
 def test_worker_count_is_bounded_by_jobs_and_cpus(monkeypatch, workers, jobs, cpus, pool_sizes):
+    """Without an affinity call the cap is os.cpu_count(), and 1 when that is unknown."""
+    monkeypatch.delattr(scenario_module.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(scenario_module.os, "cpu_count", lambda: cpus)
+    assert _pool_sizes(monkeypatch, workers, jobs) == pool_sizes
+
+
+@pytest.mark.parametrize(
+    "workers, jobs, usable, pool_sizes",
+    [(2, 5, {0}, []), (2, 5, {1}, []), (8, 5, {0, 3, 5}, [3]), (2, 5, {0, 1, 2, 3}, [2])],
+)
+def test_worker_count_is_bounded_by_usable_cpus(monkeypatch, workers, jobs, usable, pool_sizes):
+    """Pinned to one CPU of a larger host (taskset -c 0), --workers 2 runs inline."""
+    monkeypatch.setattr(scenario_module.os, "sched_getaffinity", lambda pid: usable,
+                        raising=False)
+    monkeypatch.setattr(scenario_module.os, "cpu_count", lambda: 8)
+    assert _pool_sizes(monkeypatch, workers, jobs) == pool_sizes
+
+
+def _pool_sizes(monkeypatch, workers: int, jobs: int) -> list[int]:
+    """Sizes of the pools _map_jobs asks for, with a stub pool that starts no process."""
     created: list[int] = []
 
     class RecordingPool:
@@ -209,11 +308,10 @@ def test_worker_count_is_bounded_by_jobs_and_cpus(monkeypatch, workers, jobs, cp
             return map(fn, items)
 
     monkeypatch.setattr(scenario_module, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(scenario_module.os, "cpu_count", lambda: cpus)
     assert scenario_module._map_jobs(abs, list(range(-jobs, 0)), workers) == list(
         range(jobs, 0, -1)
     )
-    assert created == pool_sizes
+    return created
 
 
 class TestParseGrid:
@@ -283,3 +381,34 @@ class TestSweep:
         rows, skipped = sweep_scenario(scenario, grid, tmp_path)
         assert skipped == []
         assert rows[0]["friend_prob"] == 0.0
+
+
+# JSON values as json.loads can return them (NaN and infinities included)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=10,
+)
+SIM_FIELDS = [field.name for field in dataclasses.fields(SimConfig)]
+SIM_DICTS = st.dictionaries(st.sampled_from(SIM_FIELDS) | st.text(max_size=6), JSON_VALUES,
+                            max_size=len(SIM_FIELDS))
+SCENARIO_DICTS = st.fixed_dictionaries({}, optional={
+    "label": JSON_VALUES,
+    "replications": JSON_VALUES,
+    "outputs": st.lists(st.sampled_from(OUTPUT_KINDS), max_size=4) | JSON_VALUES,
+    "burn_in": JSON_VALUES,
+    "sim": SIM_DICTS | JSON_VALUES,
+}) | st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=4) | JSON_VALUES
+
+
+@given(raw=SCENARIO_DICTS)
+@settings(max_examples=400, deadline=None)
+def test_scenario_from_dict_returns_a_scenario_or_raises_config_error(raw):
+    try:
+        scenario = scenario_from_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(scenario, Scenario)
+    assert not any(isinstance(getattr(scenario.sim, name), float) and math.isnan(
+        getattr(scenario.sim, name)) for name in SIM_FIELDS)

@@ -1,50 +1,30 @@
 """Gossip-based dominant-value voting: simulator, observer metrics, forecast replay."""
 
-from .engine import SimState, TickEvents, Trajectory, init, run, run_state, step
-from .forecast import (
-    VARIANTS,
-    Comparison,
-    DatasetError,
-    EvalReport,
-    ForecastDataset,
-    GossipParams,
-    VariantSpec,
-    compare_cell,
-    compare_report,
-    evaluate,
-    evaluate_variant,
-    load_dataset,
-    mae,
-    run_variant,
-)
-from .integration import VoteSet, consensus_value, dominant_value, mixed_integrate
-from .metrics import (
-    Observation,
-    TickMetrics,
-    clustering_gap,
-    convergence_tick,
-    dissent_change_rate,
-    live_change_rate,
-    observe,
-    steady_change_rate,
-    tick_metrics,
-    trajectory_metrics,
-)
-from .model import (
-    ConfigError,
-    FriendGraph,
-    KnowledgeValue,
-    SimConfig,
-    make_friend_graph,
-)
-from .scenario import (
-    Scenario,
-    load_scenario,
-    parse_grid,
-    save_scenario,
-    simulate_scenario,
-    sweep_scenario,
-)
+import importlib
+
+# Each public name and the module that defines it. Names load on first use
+# (PEP 562), so a command imports only the modules it runs: the forecast
+# replay never loads numpy, which only snapshots and the observer need.
+_EXPORTS = {
+    "engine": ("SimState", "TickEvents", "Trajectory", "init", "run", "run_state", "step"),
+    "forecast": (
+        "VARIANTS", "Comparison", "DatasetError", "EvalReport", "ForecastDataset",
+        "GossipParams", "VariantSpec", "compare_cell", "compare_report", "evaluate",
+        "evaluate_variant", "load_dataset", "mae", "run_variant",
+    ),
+    "integration": ("VoteSet", "consensus_value", "dominant_value", "mixed_integrate"),
+    "metrics": (
+        "Observation", "TickMetrics", "clustering_gap", "convergence_tick",
+        "dissent_change_rate", "live_change_rate", "observe", "steady_change_rate",
+        "tick_metrics", "trajectory_metrics",
+    ),
+    "model": ("ConfigError", "FriendGraph", "KnowledgeValue", "SimConfig", "make_friend_graph"),
+    "scenario": (
+        "Scenario", "load_scenario", "parse_grid", "save_scenario", "simulate_scenario",
+        "sweep_scenario",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -96,3 +76,15 @@ __all__ = [
     "tick_metrics",
     "trajectory_metrics",
 ]
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # not cached here, so the package always hands out what its module holds now
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

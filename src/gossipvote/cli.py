@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 invalid inputs (bad scenario, grid, CSV, or variant
 name), 2 I/O failure (missing files, unwritable output directory).
+
+Each command imports only the modules it runs, so forecast never loads numpy.
 """
 
 from __future__ import annotations
@@ -11,16 +13,8 @@ import os
 import sys
 from typing import Sequence
 
-from . import forecast as fc
 from .model import ConfigError
-from .scenario import (
-    json_text,
-    load_scenario,
-    parse_grid,
-    simulate_scenario,
-    sweep_scenario,
-    write_atomic,
-)
+from .output import json_text, write_atomic
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -46,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--workers", type=int, default=1, help="parallel runs")
 
     fct = sub.add_parser("forecast", help="replay an ensemble dataset through the variants")
-    fct.add_argument("predictions", help="CSV with columns source,day,prediction")
+    fct.add_argument("predictions", help="CSV with columns day,source,prediction")
     fct.add_argument("actuals", help="CSV with columns day,actual")
     fct.add_argument(
         "--variants",
@@ -66,7 +60,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_forecast(args)
-    except (ConfigError, fc.DatasetError, KeyError, ValueError) as exc:
+    except (KeyError, ValueError) as exc:  # ConfigError and DatasetError are ValueErrors
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID
@@ -76,6 +70,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .scenario import load_scenario, simulate_scenario
+
     scenario = load_scenario(args.scenario)
     written = simulate_scenario(scenario, args.out, workers=args.workers)
     for path in written:
@@ -84,6 +80,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .scenario import load_scenario, parse_grid, sweep_scenario
+
     scenario = load_scenario(args.scenario)
     grid = parse_grid(args.grid)
     rows, skipped = sweep_scenario(scenario, grid, args.out, workers=args.workers)
@@ -95,6 +93,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_forecast(args: argparse.Namespace) -> int:
+    from . import forecast as fc
+
     data = fc.load_dataset(args.predictions, args.actuals)
     if args.variants is None:
         specs = list(fc.VARIANTS)
@@ -102,6 +102,9 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
         names = [name.strip() for name in args.variants.split(",") if name.strip()]
         if not names:
             raise ConfigError("--variants given but no variant names found")
+        for index, name in enumerate(names):
+            if name in names[:index]:
+                raise ConfigError(f"--variants names {name!r} more than once")
         specs = [fc.variant_by_name(name) for name in names]
     reports = fc.evaluate(data, specs, seed=args.seed)
     table = fc.render_table(reports)

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .integration import integrate
 from .model import FriendGraph, KnowledgeValue, SimConfig, make_friend_graph
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(slots=True)
@@ -52,6 +54,8 @@ class SimState:
 
     def snapshot(self) -> np.ndarray:
         """Read-only copy of every agent's current value, indexed by agent id."""
+        import numpy as np
+
         snap = np.array(self.values, dtype=np.int64)
         snap.flags.writeable = False
         return snap
@@ -83,14 +87,29 @@ class Trajectory:
         return len(self.events)
 
 
-def init(config: SimConfig, values: list[KnowledgeValue] | None = None) -> SimState:
+def draw_graph(config: SimConfig) -> tuple[FriendGraph, random.Random]:
+    """A run's friend graph and its RNG, standing just after the graph's draws.
+
+    The graph is the first thing the run RNG draws, so it depends only on
+    seed, n, f and symmetric_friends.
+    """
+    rng = random.Random(config.seed)
+    return make_friend_graph(config.n, config.f, rng, symmetric=config.symmetric_friends), rng
+
+
+def init(
+    config: SimConfig,
+    values: list[KnowledgeValue] | None = None,
+    drawn: tuple[FriendGraph, random.Random] | None = None,
+) -> SimState:
     """Fresh state from a config: friend graph first, then uniform initial values.
 
     Given values (one per agent, in 0..k) draw nothing. The draw order
     (graph, then one value per agent in id order) is part of the replay contract.
+    drawn is draw_graph(config)'s result, or an equal graph with an RNG in an
+    equal state, for callers that share one graph between runs.
     """
-    rng = random.Random(config.seed)
-    graph = make_friend_graph(config.n, config.f, rng, symmetric=config.symmetric_friends)
+    graph, rng = draw_graph(config) if drawn is None else drawn
     if values is None:
         values = [rng.randint(0, config.k) for _ in range(config.n)]
     elif len(values) != config.n or not all(0 <= value <= config.k for value in values):

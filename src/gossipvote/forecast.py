@@ -13,18 +13,23 @@ Three layers per day:
 
 Each day gets its own RNG derived from the harness seed and the day's index,
 so appending days never perturbs earlier ones.
+
+The harness walks the days once for all requested variants. A day's shift
+and each of its distinct friend graphs are computed once and shared by the
+variants that need them; nothing is kept from one day to the next.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .engine import init, step
+from .engine import draw_graph, init, step
 from .integration import integrate
-from .model import SimConfig
+from .model import FriendGraph, SimConfig
 
 # the replay layer fixes these; only v/f/friend_prob/strategy vary by variant
 ACTIVATION_PROB = 0.5
@@ -95,17 +100,20 @@ def load_dataset(predictions_path: str, actuals_path: str) -> ForecastDataset:
 
 def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, dict[str, str]]]:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None or [c.strip() for c in header] != list(columns):
-            raise DatasetError(
-                f"{path}:1: expected header {','.join(columns)!r}, got "
-                f"{','.join(header) if header else '<empty file>'!r}"
-            )
-        for row_no, row in enumerate(reader, start=2):
-            if None in row or any(value is None for value in row.values()):
-                raise DatasetError(f"{path}:{row_no}: wrong number of fields")
-            yield row_no, row
+        try:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames
+            if header is None or [c.strip() for c in header] != list(columns):
+                raise DatasetError(
+                    f"{path}:1: expected header {','.join(columns)!r}, got "
+                    f"{','.join(header) if header else '<empty file>'!r}"
+                )
+            for row_no, row in enumerate(reader, start=2):
+                if None in row or any(value is None for value in row.values()):
+                    raise DatasetError(f"{path}:{row_no}: wrong number of fields")
+                yield row_no, row
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
 
 
 def _parse_int(text: str, path: str, row_no: int, column: str) -> int:
@@ -179,37 +187,65 @@ def run_variant(
     data: ForecastDataset, spec: VariantSpec, seed: int = 0
 ) -> dict[str, int]:
     """One integrated prediction per day for a variant. Pure in (data, spec, seed)."""
-    out: dict[str, int] = {}
+    return _run_days(data, [spec], seed)[0]
+
+
+def _run_days(
+    data: ForecastDataset, specs: Sequence[VariantSpec], seed: int
+) -> list[dict[str, int]]:
+    """Each variant's prediction per day, walking the days once for all variants."""
+    runs: list[dict[str, int]] = [{} for _ in specs]
     for index, day in enumerate(data.days):
-        available = data.predictions_for(day)
-        if not available:
+        values = [pred for _, pred in data.predictions_for(day)]
+        if not values:
             raise DatasetError(f"day {day!r} has an actual but no predictions")
-        values = [pred for _, pred in available]
-        out[day] = _integrate_day(values, spec, seed + index)
-    return out
+        for predictions, prediction in zip(runs, _integrate_day(values, specs, seed + index)):
+            predictions[day] = prediction
+    return runs
 
 
-def _integrate_day(values: list[int], spec: VariantSpec, seed: int) -> int:
+def _integrate_day(values: list[int], specs: Sequence[VariantSpec], seed: int) -> list[int]:
+    """Each variant's prediction for one day, the day's shared inputs computed once.
+
+    A day's graph depends only on (seed, n, f), so the gossip variants with
+    equal f share one graph, and each starts from its own copy of the RNG
+    state after the graph's draws: a variant draws what it would draw alone.
+    """
     low = min(values)
     shifted = [value - low for value in values]
     k = max(shifted)
-    if spec.gossip is not None:
-        shifted = _gossip_day(shifted, k, spec.gossip, seed)
-    return integrate(shifted, None, spec.supervisor) + low
+    drawn: dict[int, tuple[FriendGraph, tuple]] = {}  # f -> (graph, RNG state after it)
+    predictions = []
+    for spec in specs:
+        final = shifted
+        if spec.gossip is not None:
+            config = _gossip_config(len(shifted), k, spec.gossip, seed)
+            if config.f not in drawn:
+                graph, rng = draw_graph(config)
+                drawn[config.f] = (graph, rng.getstate())
+            final = _gossip_day(shifted, config, spec.gossip.gossip_ticks, *drawn[config.f])
+        predictions.append(integrate(final, None, spec.supervisor) + low)
+    return predictions
 
 
-def _gossip_day(values: list[int], k: int, params: GossipParams, seed: int) -> list[int]:
-    n = len(values)
+def _gossip_config(n: int, k: int, params: GossipParams, seed: int) -> SimConfig:
     f = min(params.f, n - 1)  # small days cannot support the full friend count
     friend_prob = params.friend_prob if f > 0 else 0.0
-    config = SimConfig(
+    return SimConfig(
         n=n, k=k, v=params.v, f=f, friend_prob=friend_prob, activation_prob=ACTIVATION_PROB,
         strategy=params.strategy, mixed_consensus_prob=params.mixed_consensus_prob,
         include_self=INCLUDE_SELF, max_ticks=max(params.gossip_ticks, 1), seed=seed,
     )
-    # the day's seed gives the graph first, then no value draws: values are given
-    state = init(config, values=values)
-    for _ in range(params.gossip_ticks):
+
+
+def _gossip_day(
+    values: list[int], config: SimConfig, ticks: int, graph: FriendGraph, rng_state: tuple
+) -> list[int]:
+    rng = random.Random()
+    rng.setstate(rng_state)
+    # the values are given, so the run draws nothing before its first tick
+    state = init(config, values, drawn=(graph, rng))
+    for _ in range(ticks):
         if state.is_absorbing():
             break
         step(state)
@@ -285,20 +321,24 @@ def compare_report(
 def evaluate_variant(
     data: ForecastDataset, spec: VariantSpec, seed: int = 0
 ) -> EvalReport:
-    predictions = run_variant(data, spec, seed)
-    system_mae = mae(predictions, data.actuals)
-    per_source = {
-        name: mae(by_day, data.actuals) for name, by_day in sorted(data.sources.items())
-    }
-    if not per_source:
-        raise DatasetError("dataset has no sources")
-    return compare_report(system_mae, per_source, variant=spec.name)
+    return evaluate(data, [spec], seed)[0]
 
 
 def evaluate(
     data: ForecastDataset, specs: Iterable[VariantSpec] = VARIANTS, seed: int = 0
 ) -> list[EvalReport]:
-    return [evaluate_variant(data, spec, seed) for spec in specs]
+    """One report per variant, in order; the days are walked once for all of them."""
+    specs = list(specs)
+    system_maes = [mae(predictions, data.actuals) for predictions in _run_days(data, specs, seed)]
+    per_source = {
+        name: mae(by_day, data.actuals) for name, by_day in sorted(data.sources.items())
+    }
+    if not per_source:
+        raise DatasetError("dataset has no sources")
+    return [
+        compare_report(system_mae, per_source, variant=spec.name)
+        for spec, system_mae in zip(specs, system_maes)
+    ]
 
 
 def render_table(reports: list[EvalReport]) -> str:

@@ -5,9 +5,10 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Knowledge values are plain ints in [0, k]; no wrapper type.
 KnowledgeValue = int
@@ -57,6 +58,14 @@ class FriendGraph:
         self.adjacency = adj
         self._edges: tuple[np.ndarray, np.ndarray] | None = None
 
+    @classmethod
+    def _sampled(cls, adjacency: list[list[int]]) -> FriendGraph:
+        """Wrap a sampler's rows, which hold by construction what __init__ checks."""
+        graph = cls.__new__(cls)
+        graph.adjacency = adjacency
+        graph._edges = None
+        return graph
+
     @property
     def n_agents(self) -> int:
         return len(self.adjacency)
@@ -68,6 +77,8 @@ class FriendGraph:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(sources, targets) of every directed edge, cached for vectorized metrics."""
         if self._edges is None:
+            import numpy as np
+
             counts = [len(friends) for friends in self.adjacency]
             src = np.repeat(np.arange(self.n_agents, dtype=np.int64), counts)
             dst = np.fromiter(
@@ -177,14 +188,14 @@ def make_friend_graph(
         picks = rng.sample(range(n - 1), f)
         # the sample is over "others": indices >= agent_id shift up by one
         adjacency.append(sorted(p if p < agent_id else p + 1 for p in picks))
-    return FriendGraph(adjacency)
+    return FriendGraph._sampled(adjacency)
 
 
 def _symmetric_graph(n: int, f: int, rng: random.Random) -> FriendGraph:
     if (n * f) % 2:
         raise ValueError(f"n*f must be even for a symmetric graph, got n={n}, f={f}")
     if f == 0:
-        return FriendGraph([[] for _ in range(n)])
+        return FriendGraph._sampled([[] for _ in range(n)])
     edges: set[tuple[int, int]] = set()
     for i in range(n):
         for d in range(1, f // 2 + 1):
@@ -210,7 +221,7 @@ def _symmetric_graph(n: int, f: int, rng: random.Random) -> FriendGraph:
     for a, b in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    return FriendGraph([sorted(friends) for friends in adjacency])
+    return FriendGraph._sampled([sorted(friends) for friends in adjacency])
 
 
 def _norm(a: int, b: int) -> tuple[int, int]:

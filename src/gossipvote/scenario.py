@@ -22,6 +22,7 @@ import numpy as np
 from .engine import init, run_state
 from .metrics import Observation, convergence_tick, observe, steady_change_rate
 from .model import ConfigError, SimConfig, check_field_types
+from .output import json_text, write_atomic
 
 OUTPUT_KINDS = ("trajectory_csv", "metrics_csv", "summary_json")
 SWEEP_KEYS = ("n", "k", "v", "f", "friend_prob")
@@ -103,6 +104,8 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
     return scenario_from_dict(raw)
 
 
@@ -112,29 +115,6 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 
 # ---------------------------------------------------------------------------
 # output writers
-
-
-def write_atomic(path: str, text: str) -> None:
-    """Write text to path through a temporary file in the same directory.
-
-    The temporary file replaces path only once it is complete, so a write
-    that fails leaves neither a partial path nor the temporary file.
-    """
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", newline="")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.remove(tmp)
-        raise
-
-
-def json_text(payload: object) -> str:
-    """The JSON layout of every output file: indented, sorted keys, final newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

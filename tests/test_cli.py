@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,12 +11,34 @@ from pathlib import Path
 import pytest
 
 from gossipvote.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
+from gossipvote.forecast import load_dataset
 from gossipvote.model import SimConfig
 from gossipvote.scenario import Scenario, load_scenario, save_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
 SCENARIO_DIR = REPO_ROOT / "scenarios"
+
+# bytes no UTF-8 decoder accepts: a lone continuation byte, then an invalid lead
+NOT_UTF8 = b"\x80\xff\xfe binary\n"
+
+# runs `python -m gossipvote ARGS` in this process, then reports whether numpy was loaded
+NUMPY_GUARD = """
+import runpy, sys
+try:
+    runpy.run_module("gossipvote", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("numpy loaded:", "numpy" in sys.modules)
+raise SystemExit(code)
+"""
+
+
+def assert_one_error_line(err: str, *parts: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for part in parts:
+        assert part in lines[0]
 
 
 def small_scenario_file(tmp_path, **sim_overrides) -> Path:
@@ -102,6 +125,14 @@ class TestSimulateCommand:
         assert code == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
 
+    def test_non_utf8_scenario_file_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "binary.scenario"
+        path.write_bytes(NOT_UTF8)
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INVALID
+        assert_one_error_line(capsys.readouterr().err, str(path), "utf-8")
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweepCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -184,6 +215,43 @@ class TestForecastCommand:
         assert code == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["predictions", "actuals"])
+    def test_non_utf8_csv_is_one_error_line(self, tmp_path, capsys, which):
+        paths = {"predictions": tmp_path / "p.csv", "actuals": tmp_path / "a.csv"}
+        paths["predictions"].write_text("day,source,prediction\nd1,a,1\n")
+        paths["actuals"].write_text("day,actual\nd1,1\n")
+        paths[which].write_bytes(paths[which].read_bytes() + NOT_UTF8)
+        code = main(["forecast", str(paths["predictions"]), str(paths["actuals"])])
+        assert code == EXIT_INVALID
+        assert_one_error_line(capsys.readouterr().err, str(paths[which]), "utf-8")
+
+    def test_help_names_the_headers_the_loader_accepts(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["forecast", "--help"])
+        assert excinfo.value.code == 0
+        help_text = capsys.readouterr().out
+        headers = {
+            arg: re.search(rf"^\s+{arg}\s+CSV with columns (\S+)$", help_text, re.M).group(1)
+            for arg in ("predictions", "actuals")
+        }
+        assert headers == {"predictions": "day,source,prediction", "actuals": "day,actual"}
+        pred = tmp_path / "p.csv"
+        pred.write_text(headers["predictions"] + "\nd1,a,1\n")
+        act = tmp_path / "a.csv"
+        act.write_text(headers["actuals"] + "\nd1,1\n")
+        assert load_dataset(str(pred), str(act)).sources == {"a": {"d1": 1}}
+
+    def test_duplicate_variant_names(self, capsys):
+        code = main(
+            ["forecast", str(DATA_DIR / "synthetic_predictions.csv"),
+             str(DATA_DIR / "synthetic_actuals.csv"),
+             "--variants", "basic-dominant,dominant-mixed, basic-dominant"]
+        )
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "'basic-dominant'")
+
     def test_out_dir_writes_reports(self, tmp_path, capsys):
         out_dir = tmp_path / "reports"
         code = main(
@@ -244,3 +312,44 @@ class TestEntryPoints:
             main([])
         assert excinfo.value.code == 2
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, stdout_part", [
+        (["forecast", str(DATA_DIR / "synthetic_predictions.csv"),
+          str(DATA_DIR / "synthetic_actuals.csv")], "dominant-mixed"),
+        (["--help"], "usage: gossipvote"),
+    ])
+    def test_forecast_and_help_never_load_numpy(self, argv, stdout_part):
+        proc = subprocess.run(
+            [sys.executable, "-c", NUMPY_GUARD, *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        *output, numpy_loaded = proc.stdout.splitlines()
+        assert stdout_part in "\n".join(output)
+        assert numpy_loaded == "numpy loaded: False"
+
+
+class TestPackageExports:
+    def test_names_resolve_on_first_use(self):
+        import gossipvote
+        from gossipvote import observe, simulate_scenario
+        from gossipvote.metrics import observe as defined_observe
+        from gossipvote.scenario import simulate_scenario as defined_simulate
+
+        assert observe is defined_observe
+        assert simulate_scenario is defined_simulate
+        assert len(gossipvote.__all__) == len(set(gossipvote.__all__)) == 46
+        assert gossipvote.__all__ == sorted(gossipvote.__all__)
+        namespace: dict = {}
+        exec("from gossipvote import *", namespace)
+        assert set(gossipvote.__all__) <= set(namespace)
+        assert set(gossipvote.__all__) <= set(dir(gossipvote))
+        assert all(getattr(gossipvote, name) is namespace[name] for name in gossipvote.__all__)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import gossipvote
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gossipvote.no_such_name
+        with pytest.raises(ImportError):
+            exec("from gossipvote import no_such_name", {})

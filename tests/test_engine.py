@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipvote.engine import SimState, init, run, run_state, step
+from gossipvote.engine import SimState, draw_graph, init, run, run_state, step
 from gossipvote.model import FriendGraph, SimConfig
 
 
@@ -86,6 +86,13 @@ class TestInit:
         # the same stream, short of exactly the n value draws init skipped
         assert [given.rng.randint(0, config.k) for _ in range(config.n)] == drawn.values
         assert given.rng.getstate() == drawn.rng.getstate()
+
+    def test_a_drawn_graph_continues_the_same_stream(self):
+        config = SimConfig(n=9, k=3, f=4, friend_prob=0.5, seed=12)
+        fresh, continued = init(config), init(config, drawn=draw_graph(config))
+        assert continued.graph == fresh.graph
+        assert continued.values == fresh.values
+        assert continued.rng.getstate() == fresh.rng.getstate()
 
     @pytest.mark.parametrize("values", [[0, 1], [0, 1, 2], [0, 1, -1]])
     def test_given_values_must_fit_the_config(self, values):

@@ -6,7 +6,11 @@ import random
 
 import pytest
 
+from gossipvote import forecast as forecast_module
+from gossipvote.engine import init, step
 from gossipvote.forecast import (
+    ACTIVATION_PROB,
+    INCLUDE_SELF,
     VARIANTS,
     DatasetError,
     ForecastDataset,
@@ -23,6 +27,8 @@ from gossipvote.forecast import (
     run_variant,
     variant_by_name,
 )
+from gossipvote.integration import integrate
+from gossipvote.model import SimConfig
 
 
 def write_csvs(tmp_path, predictions: list[tuple[str, str, object]], actuals: list[tuple[str, object]]):
@@ -199,6 +205,95 @@ def _random_dataset(rng: random.Random, days: int, sources: int) -> ForecastData
         sources=table,
         actuals={day: rng.randint(-10, 30) for day in day_labels},
     )
+
+
+F = max(spec.gossip.f for spec in VARIANTS if spec.gossip is not None)
+
+
+def _dataset_with_day_sizes(seed: int) -> ForecastDataset:
+    """A random dataset plus days covered by exactly 1, 2 and f+1 sources.
+
+    f is capped at n-1 on small days, so the gossip variants' shared graph
+    has a different f from day to day.
+    """
+    rng = random.Random(seed)
+    data = _random_dataset(rng, days=4, sources=F + 1)
+    names = sorted(data.sources)
+    sources = {name: dict(by_day) for name, by_day in data.sources.items()}
+    extra = [f"2016-12-{size:02d}" for size in (1, 2, F + 1)]
+    for day, size in zip(extra, (1, 2, F + 1)):
+        for name in rng.sample(names, size):
+            sources[name][day] = rng.randint(-10, 30)
+    return ForecastDataset(
+        days=data.days + tuple(extra),
+        sources=sources,
+        actuals={**data.actuals, **{day: rng.randint(-10, 30) for day in extra}},
+    )
+
+
+def _unshared_run_variant(data: ForecastDataset, spec: VariantSpec, seed: int) -> dict[str, int]:
+    """Reference replay, one variant alone: every gossip day draws its own graph."""
+    out = {}
+    for index, day in enumerate(data.days):
+        values = [pred for _, pred in data.predictions_for(day)]
+        low = min(values)
+        shifted = [value - low for value in values]
+        if spec.gossip is not None:
+            params = spec.gossip
+            f = min(params.f, len(values) - 1)
+            config = SimConfig(
+                n=len(values), k=max(shifted), v=params.v, f=f,
+                friend_prob=params.friend_prob if f > 0 else 0.0,
+                activation_prob=ACTIVATION_PROB, strategy=params.strategy,
+                mixed_consensus_prob=params.mixed_consensus_prob, include_self=INCLUDE_SELF,
+                max_ticks=max(params.gossip_ticks, 1), seed=seed + index,
+            )
+            state = init(config, values=shifted)
+            for _ in range(params.gossip_ticks):
+                if state.is_absorbing():
+                    break
+                step(state)
+            shifted = state.values
+        out[day] = integrate(shifted, None, spec.supervisor) + low
+    return out
+
+
+class TestSharedDays:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_every_variant_matches_the_unshared_replay(self, seed):
+        data = _dataset_with_day_sizes(seed)
+        sizes = {len(data.predictions_for(day)) for day in data.days}
+        assert {1, 2, F + 1} <= sizes and len(sizes) > 3
+        for spec in VARIANTS:
+            assert run_variant(data, spec, seed) == _unshared_run_variant(data, spec, seed)
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_a_variant_row_does_not_depend_on_the_other_variants(self, seed):
+        data = _dataset_with_day_sizes(seed)
+        rows = evaluate(data, VARIANTS, seed)
+        assert evaluate(data, VARIANTS[::-1], seed) == rows[::-1]
+        for spec, row in zip(VARIANTS, rows):
+            assert evaluate(data, [spec], seed) == [row]
+            assert evaluate_variant(data, spec, seed) == row
+            assert mae(run_variant(data, spec, seed), data.actuals) == row.system_mae
+
+    def test_one_graph_per_day_and_distinct_friend_count(self, monkeypatch):
+        data = _dataset_with_day_sizes(7)
+        draw_graph, drawn = forecast_module.draw_graph, []
+
+        def counting_draw_graph(config):
+            drawn.append((config.seed, config.f))
+            return draw_graph(config)
+
+        monkeypatch.setattr(forecast_module, "draw_graph", counting_draw_graph)
+        evaluate(data, VARIANTS, seed=0)
+        friend_counts = [spec.gossip.f for spec in VARIANTS if spec.gossip is not None]
+        expected = [
+            (index, f)
+            for index, day in enumerate(data.days)
+            for f in dict.fromkeys(min(f, len(data.predictions_for(day)) - 1) for f in friend_counts)
+        ]
+        assert drawn == expected
 
 
 class TestMae:

@@ -127,6 +127,21 @@ class TestMakeFriendGraph:
             assert len(set(friends)) == len(friends)
             assert all(0 <= friend < n for friend in friends)
 
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        f_share=st.floats(min_value=0.0, max_value=1.0),
+        symmetric=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80)
+    def test_sampled_graphs_pass_the_validating_constructor(self, n, f_share, symmetric, seed):
+        """Sampled graphs skip FriendGraph's checks because they always pass them."""
+        f = int(f_share * (n - 1))
+        if symmetric and (n * f) % 2:
+            f -= 1
+        graph = make_friend_graph(n, f, random.Random(seed), symmetric=symmetric)
+        assert FriendGraph(graph.adjacency) == graph
+
     def test_rejects_infeasible_friend_count(self):
         with pytest.raises(ValueError):
             make_friend_graph(5, 5, random.Random(0))

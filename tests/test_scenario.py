@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gossipvote.engine import init, run_state
 from gossipvote.metrics import observe
+from gossipvote import output as output_module
 from gossipvote import scenario as scenario_module
 from gossipvote.model import ConfigError, SimConfig
 from gossipvote.scenario import (
@@ -30,8 +31,8 @@ from gossipvote.scenario import (
     simulate_scenario,
     sweep_scenario,
     trajectory_csv,
-    write_atomic,
 )
+from gossipvote.output import write_atomic
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -170,7 +171,7 @@ class TestWriteAtomic:
         path = tmp_path / "out.csv"
         if existing is not None:
             path.write_text(existing)
-        monkeypatch.setattr(scenario_module, "open", open_failing_midway("out.csv"),
+        monkeypatch.setattr(output_module, "open", open_failing_midway("out.csv"),
                             raising=False)
         with pytest.raises(OSError, match="No space"):
             write_atomic(str(path), "tick,value,count\r\n" * 1000)
@@ -182,13 +183,13 @@ class TestWriteAtomic:
         def refuse(src, dst):
             raise PermissionError(13, "Permission denied")
 
-        monkeypatch.setattr(scenario_module.os, "replace", refuse)
+        monkeypatch.setattr(output_module.os, "replace", refuse)
         with pytest.raises(PermissionError):
             write_atomic(str(tmp_path / "summary.json"), "{}\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_simulate_failing_midway_keeps_only_complete_files(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(scenario_module, "open", open_failing_midway("metrics_rep000"),
+        monkeypatch.setattr(output_module, "open", open_failing_midway("metrics_rep000"),
                             raising=False)
         scenario = small_scenario(replications=1)
         with pytest.raises(OSError, match="No space"):

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Measure how the vote-gathering count v shapes long-run change rates.
 
-Runs paired seeds at two v settings (binary domain, no preferential channels)
+Runs paired seeds at two v settings (binary domain, no preferential
+channels), the two runs of a seed stepping in lockstep on one draw sequence,
 and prints, per arm, three rates over the ticks after --burn-in: value
 changes per dissenting agent-tick (the quantity acceptance check a03 gates),
 the per-tick change rate up to the first unanimous snapshot, and the steady
@@ -18,28 +19,33 @@ from gossipvote import (
     SimConfig,
     convergence_tick,
     dissent_change_rate,
-    init,
     live_change_rate,
     observe,
-    run_state,
     steady_change_rate,
 )
+from gossipvote.engine import init_group, run_states
 
 RATES = ("changes per dissenting agent-tick", "per-tick rate up to unanimity", "steady rate")
 
 
-def arm(v: int, seed: int, horizon: int, burn_in: int) -> tuple[tuple[float, ...], int | None]:
-    state = init(
+def arms(
+    vs: tuple[int, ...], seed: int, horizon: int, burn_in: int
+) -> list[tuple[tuple[float, ...], int | None]]:
+    """One seed's run at each v, stepped in lockstep on one draw sequence."""
+    states = init_group([
         SimConfig(n=500, k=1, v=v, f=0, activation_prob=0.5, max_ticks=horizon, seed=seed)
-    )
-    traj = run_state(state)
-    obs = observe(traj, state.graph)
-    rates = (
-        dissent_change_rate(obs, burn_in),
-        live_change_rate(obs, burn_in),
-        steady_change_rate(traj, burn_in),
-    )
-    return rates, convergence_tick(obs)
+        for v in vs
+    ])
+    results = []
+    for state, traj in zip(states, run_states(states)):
+        obs = observe(traj, state.graph)
+        rates = (
+            dissent_change_rate(obs, burn_in),
+            live_change_rate(obs, burn_in),
+            steady_change_rate(traj, burn_in),
+        )
+        results.append((rates, convergence_tick(obs)))
+    return results
 
 
 def main() -> int:
@@ -53,10 +59,10 @@ def main() -> int:
     args = parser.parse_args()
 
     seeds = range(args.base_seed, args.base_seed + args.seeds)
-    low = [arm(args.v_low, seed, args.horizon, args.burn_in) for seed in seeds]
-    high = [arm(args.v_high, seed, args.horizon, args.burn_in) for seed in seeds]
+    low, high = zip(*(arms((args.v_low, args.v_high), seed, args.horizon, args.burn_in)
+                      for seed in seeds))
 
-    def describe(v: int, runs: list[tuple[tuple[float, ...], int | None]]) -> None:
+    def describe(v: int, runs: tuple[tuple[tuple[float, ...], int | None], ...]) -> None:
         rates, convs = zip(*runs)
         converged = [c for c in convs if c is not None]
         conv_note = (

@@ -6,7 +6,8 @@ Three layers per day:
    agent holding it (values are shifted so the day's min sits at 0, giving the
    engine its 0..k domain),
 2. gossip — the agents run the configured protocol for a fixed number of
-   ticks (skipped entirely for the centralized variants),
+   ticks (skipped entirely for the centralized variants and for
+   gossip_ticks <= 0),
 3. supervision — a supervisor integrates the final population into the day's
    single prediction (dominant or consensus, with no own-value preference)
    and the shift is undone.
@@ -16,7 +17,8 @@ so appending days never perturbs earlier ones.
 
 The harness walks the days once for all requested variants. A day's shift
 and each of its distinct friend graphs are computed once and shared by the
-variants that need them; nothing is kept from one day to the next.
+variants that need them, and variants whose draws coincide step in lockstep
+on one draw sequence; nothing is kept from one day to the next.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .engine import draw_graph, init, step
+from .engine import draw_graph, draw_groups, init_group, lockstep
+from .engine import step  # noqa: F401  perfbench's tracer test reads forecast.step
 from .integration import integrate
 from .model import FriendGraph, SimConfig
 
@@ -208,24 +211,28 @@ def _integrate_day(values: list[int], specs: Sequence[VariantSpec], seed: int) -
     """Each variant's prediction for one day, the day's shared inputs computed once.
 
     A day's graph depends only on (seed, n, f), so the gossip variants with
-    equal f share one graph, and each starts from its own copy of the RNG
-    state after the graph's draws: a variant draws what it would draw alone.
+    equal f share one graph. Variants with equal draw keys (see
+    engine.draw_key) also share every tick's sends and step in lockstep;
+    each starts from its own copy of the RNG state after the graph's draws,
+    so a variant draws what it would draw alone.
     """
     low = min(values)
     shifted = [value - low for value in values]
     k = max(shifted)
+    finals = [shifted] * len(specs)
+    gossip = [index for index, spec in enumerate(specs)
+              if spec.gossip is not None and spec.gossip.gossip_ticks > 0]
+    configs = [_gossip_config(len(shifted), k, specs[index].gossip, seed) for index in gossip]
     drawn: dict[int, tuple[FriendGraph, tuple]] = {}  # f -> (graph, RNG state after it)
-    predictions = []
-    for spec in specs:
-        final = shifted
-        if spec.gossip is not None:
-            config = _gossip_config(len(shifted), k, spec.gossip, seed)
-            if config.f not in drawn:
-                graph, rng = draw_graph(config)
-                drawn[config.f] = (graph, rng.getstate())
-            final = _gossip_day(shifted, config, spec.gossip.gossip_ticks, *drawn[config.f])
-        predictions.append(integrate(final, None, spec.supervisor) + low)
-    return predictions
+    for group in draw_groups(configs):
+        f = configs[group[0]].f
+        if f not in drawn:
+            graph, rng = draw_graph(configs[group[0]])
+            drawn[f] = (graph, rng.getstate())
+        group_finals = _gossip_day(shifted, [configs[member] for member in group], *drawn[f])
+        for member, final in zip(group, group_finals):
+            finals[gossip[member]] = final
+    return [integrate(final, None, spec.supervisor) + low for spec, final in zip(specs, finals)]
 
 
 def _gossip_config(n: int, k: int, params: GossipParams, seed: int) -> SimConfig:
@@ -234,22 +241,21 @@ def _gossip_config(n: int, k: int, params: GossipParams, seed: int) -> SimConfig
     return SimConfig(
         n=n, k=k, v=params.v, f=f, friend_prob=friend_prob, activation_prob=ACTIVATION_PROB,
         strategy=params.strategy, mixed_consensus_prob=params.mixed_consensus_prob,
-        include_self=INCLUDE_SELF, max_ticks=max(params.gossip_ticks, 1), seed=seed,
+        include_self=INCLUDE_SELF, max_ticks=params.gossip_ticks, seed=seed,
     )
 
 
 def _gossip_day(
-    values: list[int], config: SimConfig, ticks: int, graph: FriendGraph, rng_state: tuple
-) -> list[int]:
+    values: list[int], configs: list[SimConfig], graph: FriendGraph, rng_state: tuple
+) -> list[list[int]]:
+    """One draw group's final values after max_ticks ticks of gossip in lockstep."""
     rng = random.Random()
     rng.setstate(rng_state)
-    # the values are given, so the run draws nothing before its first tick
-    state = init(config, values, drawn=(graph, rng))
-    for _ in range(ticks):
-        if state.is_absorbing():
-            break
-        step(state)
-    return state.values
+    # the values are given, so the runs draw nothing before their first tick
+    states = init_group(configs, values, drawn=(graph, rng))
+    for _ in lockstep(states, configs[0].max_ticks):
+        pass
+    return [state.values for state in states]
 
 
 def mae(predictions: Mapping[str, float], actuals: Mapping[str, int]) -> float:

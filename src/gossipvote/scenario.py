@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from .engine import init, run_state
+from .engine import draw_groups, init, init_group, run_state, run_states
 from .metrics import Observation, convergence_tick, observe, steady_change_rate
 from .model import ConfigError, SimConfig, check_field_types
 from .output import json_text, write_atomic
@@ -283,16 +283,21 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_job(args: tuple[SimConfig, int]) -> tuple[float, bool, float]:
-    config, burn_in = args
-    state = init(config)
-    traj = run_state(state)
-    obs = observe(traj, state.graph)
-    return (
-        steady_change_rate(traj, burn_in),
-        convergence_tick(obs) is not None,
-        _mean_gap(obs, burn_in),
-    )
+def _sweep_job(args: tuple[list[SimConfig], int]) -> list[tuple[float, bool, float]]:
+    """One replication of one draw group, stepped in lockstep: each config's sweep figures."""
+    configs, burn_in = args
+    states = init_group(configs)
+    trajs = run_states(states)
+    results = []
+    for state in states:
+        traj = trajs.pop(0)  # observed and released one at a time
+        obs = observe(traj, state.graph)
+        results.append((
+            steady_change_rate(traj, burn_in),
+            convergence_tick(obs) is not None,
+            _mean_gap(obs, burn_in),
+        ))
+    return results
 
 
 def _mean_gap(obs: Observation, burn_in: int) -> float:
@@ -328,16 +333,20 @@ def sweep_scenario(
         except ConfigError as exc:
             skipped.append(f"skipping cell {cell!r}: {exc}")
     burn_in = scenario.effective_burn_in()
-    jobs = [
-        (dataclasses.replace(config, seed=config.seed + index), burn_in)
-        for config in configs
-        for index in range(scenario.replications)
-    ]
-    results = _map_jobs(_sweep_job, jobs, workers)
-    rows: list[dict] = []
     reps = scenario.replications
+    # one job per draw group and replication; the cells of a group share every draw
+    keys = [(group, index) for group in draw_groups(configs) for index in range(reps)]
+    jobs = [
+        ([dataclasses.replace(configs[cell], seed=configs[cell].seed + index) for cell in group],
+         burn_in)
+        for group, index in keys
+    ]
+    runs: dict[tuple[int, int], tuple[float, bool, float]] = {}  # (cell, replication) -> figures
+    for (group, index), figures in zip(keys, _map_jobs(_sweep_job, jobs, workers)):
+        runs.update(((cell, index), cell_figures) for cell, cell_figures in zip(group, figures))
+    rows: list[dict] = []
     for cell_index, config in enumerate(configs):
-        chunk = results[cell_index * reps : (cell_index + 1) * reps]
+        chunk = [runs[cell_index, index] for index in range(reps)]
         rates = np.array([r[0] for r in chunk])
         gaps = np.array([r[2] for r in chunk])
         rows.append(

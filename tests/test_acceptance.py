@@ -3,7 +3,10 @@
 Eight checks, in fixed order, each printing one summary line and enforcing
 a wall-clock budget.  Statistical checks pin their seeds so reruns are
 exactly reproducible; where a check compares paired runs, both arms share
-a seed so the draw sequences differ only through the parameter under test.
+a seed. The vote-count arms (v=3 and v=20) then share every draw (friend
+graph, initial values and each tick's sends) and step in lockstep, so they
+differ only in the vote rule. The friend-channel arms differ in
+friend_prob, which changes their draws.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from time import perf_counter
 
 from oracles import median_cost_oracle, mode_oracle
 
-from gossipvote.engine import init, run_state, step
+from gossipvote.engine import init, init_group, run_state, run_states, step
 from gossipvote.forecast import (
     compare_report,
     evaluate_variant,
@@ -69,25 +72,31 @@ def test_a02_consensus_matches_exhaustive_cost_scan():
     _report(f"consensus oracle: {checked}/{checked} multisets matched", perf_counter() - t0, 5.0)
 
 
-def _vote_count_arm(v: int) -> tuple[dict[str, list[float]], str]:
-    """Three rates of each of one arm's 30 seeded runs, and a convergence summary."""
-    rates: dict[str, list[float]] = {"dissent": [], "live": [], "steady": []}
-    converged = []
+def _vote_count_arms() -> dict[int, tuple[dict[str, list[float]], str]]:
+    """Per arm (v=3, v=20): three rates of its 30 seeded runs and a convergence summary.
+
+    Both arms of a seed step in lockstep on one draw sequence.
+    """
+    arms = {v: ({"dissent": [], "live": [], "steady": []}, []) for v in (3, 20)}
     for s in range(30):
-        state = init(SimConfig(
+        states = init_group([SimConfig(
             n=500, k=1, v=v, f=0, friend_prob=0.0, activation_prob=0.5,
             strategy="dominant", max_ticks=500, seed=1000 + s,
-        ))
-        traj = run_state(state)
-        obs = observe(traj, state.graph)
-        rates["dissent"].append(dissent_change_rate(obs, burn_in=50))
-        rates["live"].append(live_change_rate(obs, burn_in=50))
-        rates["steady"].append(steady_change_rate(traj, burn_in=50))
-        tick = convergence_tick(obs)
-        if tick is not None:
-            converged.append(tick)
-    where = f"median tick {median(converged):g}" if converged else "no median"
-    return rates, f"{len(converged)}/30 unanimous, {where}"
+        ) for v in arms])
+        for state, traj in zip(states, run_states(states)):
+            rates, converged = arms[state.config.v]
+            obs = observe(traj, state.graph)
+            rates["dissent"].append(dissent_change_rate(obs, burn_in=50))
+            rates["live"].append(live_change_rate(obs, burn_in=50))
+            rates["steady"].append(steady_change_rate(traj, burn_in=50))
+            tick = convergence_tick(obs)
+            if tick is not None:
+                converged.append(tick)
+    summaries = {}
+    for v, (rates, converged) in arms.items():
+        where = f"median tick {median(converged):g}" if converged else "no median"
+        summaries[v] = rates, f"{len(converged)}/30 unanimous, {where}"
+    return summaries
 
 
 def test_a03_smaller_vote_sets_sustain_higher_change_rates():
@@ -110,8 +119,9 @@ def test_a03_smaller_vote_sets_sustain_higher_change_rates():
     Both per-tick rates are printed next to it.
     """
     t0 = perf_counter()
-    small, conv_small = _vote_count_arm(3)
-    large, conv_large = _vote_count_arm(20)
+    arms = _vote_count_arms()
+    small, conv_small = arms[3]
+    large, conv_large = arms[20]
     wins = {name: sum(a > b for a, b in zip(small[name], large[name])) for name in small}
     elapsed = perf_counter() - t0
     _report(

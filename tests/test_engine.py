@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -7,7 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipvote.engine import SimState, draw_graph, init, run, run_state, step
+from gossipvote.engine import (
+    SimState,
+    Trajectory,
+    draw_graph,
+    draw_groups,
+    draw_key,
+    draw_sends,
+    init,
+    init_group,
+    lockstep,
+    run,
+    run_state,
+    run_states,
+    step,
+)
 from gossipvote.model import FriendGraph, SimConfig
 
 
@@ -229,3 +244,152 @@ class TestRunState:
         state = init(config)
         again = run_state(state)
         assert (whole.snapshots[-1] == again.snapshots[-1]).all()
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("k, dtype", [(0, np.uint8), (255, np.uint8), (256, np.int64)])
+    def test_dtype_follows_the_value_domain(self, k, dtype):
+        config = SimConfig(n=40, k=k, max_ticks=5, seed=3)
+        values = [k - i % 2 for i in range(40)] if k else [0] * 40
+        snap = init(config, values=values).snapshot()
+        assert snap.dtype == dtype
+        assert snap.tolist() == values  # the top of the domain survives the narrow dtype
+        assert not snap.flags.writeable
+
+
+@st.composite
+def draw_group_cases(draw) -> tuple[list[SimConfig], int | None]:
+    """Configs of one draw group (differing in v, include_self and operator) and,
+    optionally, the index of a member forced unanimous so that it absorbs at once."""
+    n = draw(st.integers(min_value=1, max_value=25))
+    symmetric = draw(st.booleans())
+    f = draw(st.integers(min_value=0, max_value=n - 1))
+    if symmetric and (n * f) % 2:
+        f -= 1
+    base = SimConfig(
+        n=n, k=draw(st.integers(min_value=0, max_value=4)), f=f,
+        friend_prob=draw(st.floats(min_value=0.0, max_value=1.0)) if f else 0.0,
+        activation_prob=draw(st.floats(min_value=0.1, max_value=1.0)),
+        symmetric_friends=symmetric, max_ticks=draw(st.integers(min_value=1, max_value=30)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+    members = draw(st.lists(st.tuples(
+        st.integers(min_value=1, max_value=5), st.booleans(),
+        st.sampled_from(["dominant", "consensus"])), min_size=1, max_size=4))
+    configs = [dataclasses.replace(base, v=v, include_self=self_, strategy=strategy)
+               for v, self_, strategy in members]
+    return configs, draw(st.none() | st.integers(min_value=0, max_value=len(configs) - 1))
+
+
+def _unanimous(state: SimState) -> SimState:
+    state.values[:] = [0] * state.config.n
+    return state
+
+
+def _assert_same_run(got: Trajectory, got_state: SimState, want: Trajectory, want_state: SimState):
+    assert got.events == want.events
+    assert [(s.dtype, s.tobytes()) for s in got.snapshots] == [
+        (s.dtype, s.tobytes()) for s in want.snapshots]
+    assert got_state.values == want_state.values
+    assert got_state.rng.getstate() == want_state.rng.getstate()
+
+
+class TestLockstep:
+    @given(case=draw_group_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_run_states_equals_lone_runs_bit_for_bit(self, case):
+        configs, absorber = case
+        states = init_group(configs)
+        lone = [init(config) for config in configs]
+        if absorber is not None:
+            _unanimous(states[absorber])
+            _unanimous(lone[absorber])
+        for index, traj in enumerate(run_states(states)):
+            _assert_same_run(traj, states[index], run_state(lone[index]), lone[index])
+
+    # seeds found by scanning: the v=1 lead absorbs at tick 21 while the other member
+    # steps to the horizon; the lead steps to the horizon while the other absorbs at
+    # tick 14; both absorb mid-run, the lead first
+    @pytest.mark.parametrize("seed, ticks", [(3, (21, 40)), (7, (40, 14)), (29, (5, 31))])
+    def test_members_stop_at_their_own_absorption_and_the_rest_go_on(self, seed, ticks):
+        base = SimConfig(n=4, k=1, f=0, activation_prob=0.9, max_ticks=40, seed=seed)
+        configs = [dataclasses.replace(base, v=1, include_self=False),
+                   dataclasses.replace(base, v=3, strategy="consensus")]
+        states = init_group(configs)
+        trajs = run_states(states)
+        assert (trajs[0].n_ticks, trajs[1].n_ticks) == ticks
+        for config, state, traj in zip(configs, states, trajs):
+            alone = init(config)
+            _assert_same_run(traj, state, run_state(alone), alone)
+
+    def test_each_tick_steps_every_live_member_with_one_draw(self):
+        base = SimConfig(n=30, k=2, f=3, friend_prob=0.5, max_ticks=10, seed=4)
+        states = init_group([base, dataclasses.replace(base, v=7, include_self=False)])
+        stepped = list(lockstep(states, 10))
+        assert [[index for index, _ in tick] for tick in stepped] == [[0, 1]] * 10
+        assert all(a.sent == b.sent for (_, a), (_, b) in stepped)
+
+    @pytest.mark.parametrize("lead, follower", [
+        (dict(strategy="mixed"), dict(strategy="mixed", v=4)),  # mixed never shares
+        (dict(), dict(friend_prob=0.25)),
+        (dict(), dict(seed=5)),
+    ])
+    def test_states_with_other_draws_are_refused(self, lead, follower):
+        base = SimConfig(n=12, k=2, f=3, friend_prob=0.5, mixed_consensus_prob=0.5, seed=4)
+        states = [init(dataclasses.replace(base, **lead)),
+                  init(dataclasses.replace(base, **follower))]
+        with pytest.raises(ValueError, match="share a draw key"):
+            run_states(states)
+
+    def test_a_follower_with_another_rng_state_is_refused(self):
+        base = SimConfig(n=12, k=2, f=3, friend_prob=0.5, seed=4)
+        states = init_group([base, dataclasses.replace(base, v=5)])
+        states[1].rng.random()
+        with pytest.raises(ValueError, match="RNG state"):
+            run_states(states)
+
+    def test_a_group_reports_a_friendless_sender_as_a_lone_run_does(self):
+        base = SimConfig(n=2, k=1, f=1, friend_prob=0.4, activation_prob=1.0, seed=0)
+        states = init_group([base, dataclasses.replace(base, v=2)])
+        graph = FriendGraph([[], []])
+        for state in states:
+            state.graph = graph
+        message = r"friend_prob=0.4 needs a non-empty friend list \(agent 0 has none\)"
+        with pytest.raises(ValueError, match=message):
+            run_states(states)
+
+
+# draw fields, each with a second value that keeps the base config valid
+DRAW_FIELDS = dict(seed=8, n=21, k=3, f=5, friend_prob=0.6, activation_prob=0.7,
+                   symmetric_friends=True, max_ticks=90)
+OTHER_FIELDS = dict(v=9, include_self=False, strategy="consensus", mixed_consensus_prob=0.4)
+
+
+class TestDrawKey:
+    BASE = SimConfig(n=20, k=2, v=3, f=4, friend_prob=0.3, activation_prob=0.5, max_ticks=60,
+                     seed=7)
+
+    def test_the_key_lists_every_draw_field_and_nothing_else(self):
+        assert set(DRAW_FIELDS) | set(OTHER_FIELDS) == {
+            field.name for field in dataclasses.fields(SimConfig)}
+
+    @pytest.mark.parametrize("field", sorted(DRAW_FIELDS))
+    def test_changing_a_draw_field_splits_the_group(self, field):
+        other = dataclasses.replace(self.BASE, **{field: DRAW_FIELDS[field]})
+        assert draw_key(other) != draw_key(self.BASE)
+        assert draw_groups([self.BASE, other, self.BASE]) == [[0, 2], [1]]
+
+    @pytest.mark.parametrize("field", sorted(OTHER_FIELDS))
+    def test_other_fields_share_the_group_and_its_draws(self, field):
+        other = dataclasses.replace(self.BASE, **{field: OTHER_FIELDS[field]})
+        assert draw_key(other) == draw_key(self.BASE)
+        assert draw_groups([self.BASE, other]) == [[0, 1]]
+        a, b = init(self.BASE), init(other)
+        assert (a.graph, a.values) == (b.graph, b.values)
+        for _ in range(5):
+            assert draw_sends(a) == draw_sends(b)
+
+    def test_a_mixed_run_shares_with_nobody(self):
+        mixed = dataclasses.replace(self.BASE, strategy="mixed", mixed_consensus_prob=0.5)
+        assert draw_key(mixed) is None
+        assert draw_groups([mixed, self.BASE, mixed]) == [[0], [1], [2]]

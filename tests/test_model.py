@@ -202,7 +202,8 @@ class TestSelectTarget:
     def test_rejects_friendless_sender_with_positive_friend_prob(self):
         state = _probe(2, f=1, friend_prob=0.4)
         state.graph = FriendGraph([[], []])
-        with pytest.raises(ValueError, match="friend"):
+        message = r"^friend_prob=0.4 needs a non-empty friend list \(agent \d has none\)$"
+        with pytest.raises(ValueError, match=message):
             step(state)
 
     def test_friend_hit_frequency_matches_mixture(self):

@@ -156,6 +156,17 @@ class TestCsvRendering:
         assert trajectory_csv(distinct) == trajectory_csv(shared)
         assert metrics_csv(distinct) == metrics_csv(shared)
 
+    @pytest.mark.parametrize("k", [1, 255])
+    def test_uint8_snapshots_write_the_bytes_of_int64_ones(self, k):
+        state = init(SimConfig(n=30, k=k, v=2, f=3, friend_prob=0.4, max_ticks=25, seed=5))
+        traj = run_state(state)
+        assert {s.dtype for s in traj.snapshots} == {np.dtype(np.uint8)}
+        wide = {id(s): s.astype(np.int64) for s in traj.snapshots}  # keeps shared ticks shared
+        widened = dataclasses.replace(traj, snapshots=[wide[id(s)] for s in traj.snapshots])
+        narrow, int64 = observe(traj, state.graph), observe(widened, state.graph)
+        assert trajectory_csv(narrow) == trajectory_csv(int64)
+        assert metrics_csv(narrow) == metrics_csv(int64)
+
 
 class TestWriteAtomic:
     def test_replaces_the_whole_file(self, tmp_path):
@@ -373,6 +384,25 @@ class TestSweep:
         assert len(rows) == 1
         assert len(skipped) == 1
         assert "600" in skipped[0]
+
+    @pytest.mark.parametrize("grid, replications", [
+        ("v=2,3,5", 2),  # one draw group, so one job per replication
+        ("f=0,1,2;v=2,3", 1),  # three draw groups, more than the workers
+    ])
+    def test_parallel_matches_serial(self, tmp_path, grid, replications):
+        scenario = small_scenario(replications=replications)
+        for workers in (1, 2):
+            sweep_scenario(scenario, parse_grid(grid), tmp_path / str(workers), workers=workers)
+        assert (tmp_path / "1" / "sweep.csv").read_bytes() == (
+            tmp_path / "2" / "sweep.csv").read_bytes()
+
+    def test_a_cell_reads_the_same_alone_and_in_a_draw_group(self, tmp_path):
+        scenario = small_scenario(replications=2)
+        grouped, _ = sweep_scenario(scenario, parse_grid("v=2,3,5;f=0,2"), tmp_path / "group")
+        for row in grouped:
+            grid = parse_grid(f"v={row['v']};f={row['f']}")
+            alone, _ = sweep_scenario(scenario, grid, tmp_path / f"{row['v']}-{row['f']}")
+            assert alone == [row]
 
     def test_zero_friend_cells_force_friend_prob_to_zero(self, tmp_path):
         # The base scenario has friend_prob=0.3; an f=0 cell must not

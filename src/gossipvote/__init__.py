@@ -3,8 +3,8 @@
 import importlib
 
 # Each public name and the module that defines it. Names load on first use
-# (PEP 562), so a command imports only the modules it runs: the forecast
-# replay never loads numpy, which only snapshots and the observer need.
+# (PEP 562), so a command imports only the modules it runs. No command loads
+# numpy; only SimState.snapshot does.
 _EXPORTS = {
     "engine": ("SimState", "TickEvents", "Trajectory", "init", "run", "run_state", "step"),
     "forecast": (
@@ -14,9 +14,8 @@ _EXPORTS = {
     ),
     "integration": ("VoteSet", "consensus_value", "dominant_value", "mixed_integrate"),
     "metrics": (
-        "Observation", "TickMetrics", "clustering_gap", "convergence_tick",
-        "dissent_change_rate", "live_change_rate", "observe", "steady_change_rate",
-        "tick_metrics", "trajectory_metrics",
+        "Observation", "convergence_tick", "dissent_change_rate", "live_change_rate",
+        "observe", "steady_change_rate",
     ),
     "model": ("ConfigError", "FriendGraph", "KnowledgeValue", "SimConfig", "make_friend_graph"),
     "scenario": (
@@ -42,12 +41,10 @@ __all__ = [
     "SimConfig",
     "SimState",
     "TickEvents",
-    "TickMetrics",
     "Trajectory",
     "VARIANTS",
     "VariantSpec",
     "VoteSet",
-    "clustering_gap",
     "compare_cell",
     "compare_report",
     "consensus_value",
@@ -73,8 +70,6 @@ __all__ = [
     "steady_change_rate",
     "step",
     "sweep_scenario",
-    "tick_metrics",
-    "trajectory_metrics",
 ]
 
 

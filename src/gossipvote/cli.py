@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 invalid inputs (bad scenario, grid, CSV, or variant
 name), 2 I/O failure (missing files, unwritable output directory).
 
-Each command imports only the modules it runs, so forecast never loads numpy.
+Each command imports only the modules it runs, and none of them loads numpy.
 """
 
 from __future__ import annotations

@@ -24,12 +24,18 @@ friend graph, initial values and sends. init_group builds such a draw group
 and lockstep steps it: each tick's sends are drawn once and delivered to
 every member, which still takes its own step per tick with the TickEvents of
 a lone run.
+
+A state is settled once every agent holds one value w and every queued vote
+is w: no operator can change a value from then on. step latches that after
+integration and steps a settled state by counting, with the draws, inbox
+contents and TickEvents of the full path.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -40,30 +46,50 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+NO_CHANGES: tuple[int, ...] = ()  # the change record every tick that changed no value shares
+
+
 @dataclass(slots=True)
 class TickEvents:
-    """Counts of what happened in one tick."""
+    """What happened in one tick: counts, and the values it changed.
+
+    changes holds the tick's (agent, new value) pairs flat and in agent order,
+    as an array('q'); every tick that changed no value shares NO_CHANGES, so
+    changed == len(changes) // 2.
+    """
 
     sent: int
     delivered: int
     integrations: int
     changed: int
+    changes: Sequence[int] = NO_CHANGES
 
 
 @dataclass(slots=True)
 class SimState:
-    """One run's state as flat lists: values[i] and inboxes[i] belong to agent i."""
+    """One run's state as flat lists: values[i] and inboxes[i] belong to agent i.
+
+    settled latches once every agent holds one value w and every queued vote
+    is w (see the module docstring); it is computed here for a new state and
+    by step after each integration, so a caller that edits values or inboxes
+    by hand builds a new state (dataclasses.replace) to refresh it.
+    """
 
     config: SimConfig
     values: list[KnowledgeValue]
     inboxes: list[list[KnowledgeValue]]
     graph: FriendGraph
     rng: random.Random
+    settled: bool = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        self.settled = _settled(self.values, self.inboxes)
 
     def snapshot(self) -> np.ndarray:
-        """Read-only copy of every agent's current value, indexed by agent id.
+        """Read-only numpy copy of every agent's current value, indexed by agent id.
 
-        The dtype is uint8 when k < 256, else int64.
+        The dtype is uint8 when k < 256, else int64. Runs never call it, so
+        they never load numpy.
         """
         import numpy as np
 
@@ -72,25 +98,34 @@ class SimState:
         return snap
 
     def is_absorbing(self) -> bool:
-        """Unanimous values and empty inboxes: nothing can ever change again."""
-        values = self.values
-        return values.count(values[0]) == len(values) and not any(self.inboxes)
+        """Settled with every inbox empty: nothing can ever change again."""
+        return self.settled and not any(self.inboxes)
+
+
+def _settled(values: list[KnowledgeValue], inboxes: list[list[KnowledgeValue]]) -> bool:
+    """Every value and every queued vote equal; the inboxes are read only at unanimity."""
+    w = values[0]
+    if values.count(w) != len(values):
+        return False
+    for inbox in inboxes:
+        if inbox and inbox.count(w) != len(inbox):
+            return False
+    return True
 
 
 @dataclass(slots=True)
 class Trajectory:
-    """One run's record: value snapshots (initial state included) and tick events.
+    """One run's record: the initial values and every tick's events.
 
-    snapshots[t] is the population after tick t; len(snapshots) == len(events)+1.
-    Snapshots are read-only, and a tick that changed no value records the
-    previous tick's snapshot object again (snapshots[t] is snapshots[t-1]), so
-    the observer computes each distinct population once. Snapshots are
-    uint8 when k < 256 and int64 otherwise.
-    Only an absorbing state ends a run before max_ticks, and it needs every
-    inbox empty too, which a run that starts split practically never reaches.
+    events[t-1] belongs to tick t, and the population after tick t is
+    initial with the changes of ticks 1..t applied in order, so the record
+    grows with the changes, not with n per tick. Only an absorbing state
+    (settled, every inbox empty) ends a run before max_ticks; with messages
+    in flight a settled run practically never reaches one, but its ticks
+    cost little (see step).
     """
 
-    snapshots: list[np.ndarray]
+    initial: tuple[KnowledgeValue, ...]
     events: list[TickEvents]
     config: SimConfig
 
@@ -156,9 +191,12 @@ def draw_key(config: SimConfig) -> tuple | None:
 
     Runs with equal keys draw the same friend graph, initial values and
     per-tick sends, whatever their v, include_self and (non-mixed) strategy,
-    so they can step in lockstep on one draw sequence. "mixed" draws its
-    integration coins from the same stream, which couples the draws to the
-    values, so a mixed run never shares its draws.
+    so they can step in lockstep on one draw sequence. "mixed" draws one coin
+    per integration from the same stream, between one tick's sends and the
+    next's. A tick's integrations depend only on its sends and v, not on the
+    values, but members of a group may differ in v, and then their coin
+    counts and every later send would part; so a mixed run never shares its
+    draws.
     """
     if config.strategy == "mixed":
         return None
@@ -219,19 +257,35 @@ def draw_sends(state: SimState) -> list[tuple[int, int]]:
 
 
 def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEvents:
-    """Advance one tick; returns that tick's event counts.
+    """Advance one tick; returns that tick's events.
 
     sends is draw_sends' result for this tick, drawn from this state or from
-    another state of its draw group; None draws it from this state.
+    another state of its draw group; None draws it from this state. A
+    settled state only queues its value and clears the inboxes that reach v,
+    drawing one mixed coin per integration as the full path does.
     """
     if sends is None:
         sends = draw_sends(state)
     cfg = state.config
     v = cfg.v
     values, inboxes = state.values, state.inboxes
+    sent = len(sends)
+    full: list[int] = []  # agents whose inbox reached v during this tick
+
+    if state.settled:
+        w = values[0]
+        for _, target in sends:
+            inbox = inboxes[target]
+            inbox.append(w)
+            if len(inbox) == v:
+                full.append(target)
+        for agent in full:
+            inboxes[agent].clear()
+        if full and cfg.strategy == "mixed":
+            state.rng.getrandbits(64 * len(full))  # the two MT words of each random()
+        return TickEvents(sent=sent, delivered=sent, integrations=len(full), changed=0)
 
     # phase 2: values cannot change before phase 3, so senders' values are pre-integration
-    full: list[int] = []  # agents whose inbox reached v during this tick
     for sender, target in sends:
         inbox = inboxes[target]
         inbox.append(values[sender])
@@ -241,7 +295,7 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
     # phase 3; inboxes are cleared on integration, so only `full` can be at v
     include_self, strategy, consensus_prob = cfg.include_self, cfg.strategy, cfg.mixed_consensus_prob
     rng = state.rng
-    changed = 0
+    changes: list[int] = []  # flat (agent, new value) pairs, agents ascending
     full.sort()
     for agent in full:
         inbox = inboxes[agent]
@@ -252,10 +306,11 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
         result = integrate(votes, own, strategy, consensus_prob, rng)
         if result != own:
             values[agent] = result
-            changed += 1
+            changes += (agent, result)
         inbox.clear()
-    sent = len(sends)
-    return TickEvents(sent=sent, delivered=sent, integrations=len(full), changed=changed)
+    state.settled = _settled(values, inboxes)
+    return TickEvents(sent=sent, delivered=sent, integrations=len(full), changed=len(changes) // 2,
+                      changes=array("q", changes) if changes else NO_CHANGES)
 
 
 def lockstep(states: Sequence[SimState], ticks: int) -> Iterator[list[tuple[int, TickEvents]]]:
@@ -322,23 +377,19 @@ def _hand_rng(state: SimState, drawer: SimState) -> None:
 def run_states(states: Sequence[SimState]) -> list[Trajectory]:
     """Run one draw group to its horizon in lockstep (see lockstep), one trajectory each.
 
-    Each trajectory equals the one run_state would record for that state
-    alone. A tick that changed no value shares the previous snapshot instead
-    of copying it.
+    Each trajectory equals the one run_state would record for that state alone.
     """
-    snapshots = [[state.snapshot()] for state in states]
+    initial = [tuple(state.values) for state in states]
     events: list[list[TickEvents]] = [[] for _ in states]
     for stepped in lockstep(states, states[0].config.max_ticks):
         for index, tick in stepped:
             events[index].append(tick)
-            recorded = snapshots[index]
-            recorded.append(states[index].snapshot() if tick.changed else recorded[-1])
-    return [Trajectory(snapshots=recorded, events=ticks, config=state.config)
-            for state, recorded, ticks in zip(states, snapshots, events)]
+    return [Trajectory(initial=values, events=ticks, config=state.config)
+            for state, values, ticks in zip(states, initial, events)]
 
 
 def run_state(state: SimState) -> Trajectory:
-    """Run an initialized state to its horizon, recording one snapshot per tick."""
+    """Run an initialized state to its horizon, recording every tick's events."""
     return run_states([state])[0]
 
 

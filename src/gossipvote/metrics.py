@@ -1,49 +1,40 @@
 """Centralized observer over trajectories: histograms, change rates, agreement.
 
-The observer reads snapshots; it never touches agent internals, so adding a
-metric cannot perturb a run. observe() is its one pass: it computes every
-per-tick number once per distinct population and returns them as an
+The observer reads trajectories; it never touches agent internals, so adding
+a metric cannot perturb a run. observe() is its one pass: it replays each
+tick's changes onto the initial values, updating the histogram and the
+friend-agreement count per change, and returns every per-tick number as an
 Observation, which the summaries, the CSV writers, the sweep rows and the
-clustering gaps all read. The engine records a tick that changed no value as
-the previous tick's (read-only) snapshot object, and such a tick reuses that
-tick's row with change rate 0.0. tick_metrics and clustering_gap stay as the
-per-snapshot reference the pass is tested against.
+clustering gaps all read. A tick that changed no value reuses the previous
+tick's row with change rate 0.0. Float sums follow numpy's pairwise order
+(pairwise_sum), so the figures match the numpy reference bit for bit without
+loading numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .engine import Trajectory
 from .model import FriendGraph
 
 
 @dataclass(frozen=True)
-class TickMetrics:
-    histogram: np.ndarray  # count of agents holding each value 0..k
-    winning_count: int  # size of the largest camp
-    change_rate: float  # fraction of agents whose value differs from prev tick
-    friend_agreement: float  # fraction of directed friend edges with equal values
-    random_agreement: float  # expected agreement of two uniform (with-replacement) picks
-    unanimous: bool
-
-
-@dataclass(frozen=True)
 class Observation:
-    """Every per-tick observer number of one trajectory, one entry per snapshot.
+    """Every per-tick observer number of one trajectory, one entry per tick from 0.
 
-    Ticks that share a snapshot object share its read-only histogram.
+    A histogram counts the agents holding each value 0..k; ticks that changed
+    no value share the previous tick's histogram tuple.
     """
 
     n: int
-    histograms: list[np.ndarray]
+    histograms: list[tuple[int, ...]]
     winning_count: list[int]
     changed: list[int]  # agents whose value differs from the tick before; 0 at tick 0
     change_rate: list[float]
-    friend_agreement: list[float]
-    random_agreement: list[float]
+    friend_agreement: list[float]  # fraction of directed friend edges with equal values
+    random_agreement: list[float]  # agreement of two uniform (with-replacement) picks
 
     def gaps(self, start: int, stop: int) -> list[float]:
         """Clustering gap (friend minus random agreement) at ticks start..stop-1."""
@@ -54,89 +45,94 @@ class Observation:
                 zip(self.friend_agreement[start:stop], self.random_agreement[start:stop])]
 
 
-def _observe_snapshot(
-    prev_snapshot: np.ndarray, snapshot: np.ndarray, graph: FriendGraph, k: int
-) -> tuple[np.ndarray, int, int, float, float, float]:
-    """(histogram, winning, changed, change_rate, friend, random agreement) of one tick."""
-    snapshot = np.asarray(snapshot)
-    prev_snapshot = np.asarray(prev_snapshot)
-    n = snapshot.shape[0]
-    if prev_snapshot.shape != snapshot.shape:
-        raise ValueError(
-            f"snapshot shapes differ: {prev_snapshot.shape} vs {snapshot.shape}"
-        )
-    if n != graph.n_agents:
-        raise ValueError(f"snapshot has {n} agents but graph has {graph.n_agents}")
-    if n == 0:
-        raise ValueError("empty snapshot")
-    if snapshot.min() < 0 or snapshot.max() > k:
-        raise ValueError(f"snapshot values outside domain 0..{k}")
-    histogram = np.bincount(snapshot, minlength=k + 1)
-    histogram.flags.writeable = False
-    changed = int(np.count_nonzero(snapshot != prev_snapshot))
-    src, dst = graph.edge_arrays()
-    if src.size == 0:
-        friend_agreement = 1.0
-    else:
-        friend_agreement = int(np.count_nonzero(snapshot[src] == snapshot[dst])) / src.size
-    shares = histogram / n
-    random_agreement = float(np.sum(shares * shares))
-    return (histogram, int(histogram.max()), changed, changed / n,
-            friend_agreement, random_agreement)
+def pairwise_sum(values: Sequence[float]) -> float:
+    """Sum floats in the order numpy's np.sum adds a float64 vector.
 
-
-def tick_metrics(
-    prev_snapshot: np.ndarray, snapshot: np.ndarray, graph: FriendGraph, k: int
-) -> TickMetrics:
-    """All per-tick observer metrics for one snapshot.
-
-    prev_snapshot is the population one tick earlier (pass the snapshot itself
-    for tick 0, making change_rate 0 there). friend_agreement over a graph
-    with no edges is vacuously 1.0.
+    Runs shorter than 8 add left to right from 0.0; runs up to 128 add into
+    8 interleaved accumulators, combined as a tree, then the remainder; longer
+    runs split in two halves at a multiple of 8 and add the halves' sums.
     """
-    histogram, winning, _, change_rate, friend, chance = _observe_snapshot(
-        prev_snapshot, snapshot, graph, k)
-    return TickMetrics(
-        histogram=histogram,
-        winning_count=winning,
-        change_rate=change_rate,
-        friend_agreement=friend,
-        random_agreement=chance,
-        unanimous=winning == graph.n_agents,
-    )
+    def part(lo: int, n: int) -> float:
+        if n < 8:
+            total = 0.0
+            for i in range(lo, lo + n):
+                total += values[i]
+            return total
+        if n <= 128:
+            acc = list(values[lo:lo + 8])
+            stop = lo + n - n % 8
+            for i in range(lo + 8, stop):
+                acc[(i - lo) % 8] += values[i]
+            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+            for i in range(stop, lo + n):
+                total += values[i]
+            return total
+        half = n // 2
+        half -= half % 8
+        return part(lo, half) + part(lo + half, n - half)
+
+    return part(0, len(values))
 
 
 def observe(traj: Trajectory, graph: FriendGraph) -> Observation:
-    """The observer pass: one row per snapshot, computed once per distinct population.
+    """The observer pass: one row per tick, updated per change in O(changes x degree).
 
-    A snapshot that is the previous tick's object reuses that tick's row with
-    no changes; any other snapshot is computed as tick_metrics computes it.
+    friend_agreement over a graph with no edges is vacuously 1.0.
     """
     k = traj.config.k
-    rows = []
-    prev = row = None
-    for snap in traj.snapshots:
-        if snap is not prev:
-            row = _observe_snapshot(snap if prev is None else prev, snap, graph, k)
-        elif row[2]:
-            row = (*row[:2], 0, 0.0, *row[4:])
-        rows.append(row)
-        prev = snap
-    histograms, winning, changed, rate, friend, chance = map(list, zip(*rows))
-    return Observation(n=graph.n_agents, histograms=histograms, winning_count=winning,
-                       changed=changed, change_rate=rate, friend_agreement=friend,
-                       random_agreement=chance)
+    values = list(traj.initial)
+    n = len(values)
+    if n != graph.n_agents:
+        raise ValueError(f"trajectory has {n} agents but graph has {graph.n_agents}")
+    if n == 0:
+        raise ValueError("empty trajectory")
+    if min(values) < 0 or max(values) > k:
+        raise ValueError(f"values outside domain 0..{k}")
+    adjacency = graph.adjacency
+    # each agent's ends of its directed edges: its friends, then those listing it
+    ends = [list(friends) for friends in adjacency]
+    for source, friends in enumerate(adjacency):
+        for target in friends:
+            ends[target].append(source)
+    edges = graph.n_edges
+    agree = sum([values[target] for target in friends].count(value)
+                for value, friends in zip(values, adjacency))
+    counts = [0] * (k + 1)
+    for value in values:
+        counts[value] += 1
 
+    def row() -> tuple[tuple[int, ...], int, float, float]:
+        """Histogram, winning count, friend and random agreement of the current values."""
+        chance = pairwise_sum([share * share for share in (count / n for count in counts)])
+        return tuple(counts), max(counts), agree / edges if edges else 1.0, chance
 
-def trajectory_metrics(traj: Trajectory, graph: FriendGraph) -> list[TickMetrics]:
-    """TickMetrics for every snapshot, tick 0 first: a view over observe()."""
-    obs = observe(traj, graph)
-    return [
-        TickMetrics(histogram=h, winning_count=w, change_rate=c, friend_agreement=f,
-                    random_agreement=r, unanimous=w == obs.n)
-        for h, w, c, f, r in zip(obs.histograms, obs.winning_count, obs.change_rate,
-                                 obs.friend_agreement, obs.random_agreement)
-    ]
+    histogram, winning, friend, chance = row()
+    histograms, winning_count, changed, change_rate = [histogram], [winning], [0], [0.0]
+    friend_agreement, random_agreement = [friend], [chance]
+    for event in traj.events:
+        changes = event.changes
+        if changes:
+            pairs = iter(changes)
+            for agent, new in zip(pairs, pairs):
+                if not 0 <= new <= k:
+                    raise ValueError(f"values outside domain 0..{k}")
+                old = values[agent]
+                around = [values[other] for other in ends[agent]]
+                agree += around.count(new) - around.count(old)
+                counts[old] -= 1
+                counts[new] += 1
+                values[agent] = new
+            histogram, winning, friend, chance = row()
+        moved = len(changes) // 2
+        histograms.append(histogram)
+        winning_count.append(winning)
+        changed.append(moved)
+        change_rate.append(moved / n)
+        friend_agreement.append(friend)
+        random_agreement.append(chance)
+    return Observation(n=n, histograms=histograms, winning_count=winning_count,
+                       changed=changed, change_rate=change_rate,
+                       friend_agreement=friend_agreement, random_agreement=random_agreement)
 
 
 def steady_change_rate(traj: Trajectory, burn_in: int) -> float:
@@ -180,18 +176,3 @@ def convergence_tick(obs: Observation) -> int | None:
     """First tick whose snapshot is unanimous (0 for a unanimous start), else None."""
     return next((tick for tick, winning in enumerate(obs.winning_count) if winning == obs.n),
                 None)
-
-
-def clustering_gap(traj: Trajectory, graph: FriendGraph, tick: int) -> float:
-    """friend_agreement minus random_agreement at one tick.
-
-    Positive values mean friends agree more than chance would predict given
-    the current camp sizes — the observer's clustering signal.
-    """
-    if not 0 <= tick < len(traj.snapshots):
-        raise IndexError(
-            f"tick {tick} outside recorded range 0..{len(traj.snapshots) - 1}"
-        )
-    prev = traj.snapshots[tick - 1] if tick > 0 else traj.snapshots[0]
-    tm = tick_metrics(prev, traj.snapshots[tick], graph, traj.config.k)
-    return tm.friend_agreement - tm.random_agreement

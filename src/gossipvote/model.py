@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Sequence
 
 # Knowledge values are plain ints in [0, k]; no wrapper type.
 KnowledgeValue = int
@@ -56,14 +54,12 @@ class FriendGraph:
                         f"agent {agent_id} has friend {target} outside 0..{n - 1}"
                     )
         self.adjacency = adj
-        self._edges: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def _sampled(cls, adjacency: list[list[int]]) -> FriendGraph:
         """Wrap a sampler's rows, which hold by construction what __init__ checks."""
         graph = cls.__new__(cls)
         graph.adjacency = adjacency
-        graph._edges = None
         return graph
 
     @property
@@ -73,21 +69,6 @@ class FriendGraph:
     @property
     def n_edges(self) -> int:
         return sum(len(friends) for friends in self.adjacency)
-
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sources, targets) of every directed edge, cached for vectorized metrics."""
-        if self._edges is None:
-            import numpy as np
-
-            counts = [len(friends) for friends in self.adjacency]
-            src = np.repeat(np.arange(self.n_agents, dtype=np.int64), counts)
-            dst = np.fromiter(
-                (t for friends in self.adjacency for t in friends),
-                dtype=np.int64,
-                count=self.n_edges,
-            )
-            self._edges = (src, dst)
-        return self._edges
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FriendGraph) and self.adjacency == other.adjacency
@@ -112,9 +93,10 @@ class SimConfig:
                          integration (ignored by the other strategies)
     include_self         whether the agent's own value joins its vote set
     symmetric_friends    generate a mutual (f-regular undirected) friend graph
-    max_ticks            horizon; only an absorbing state (unanimous, every
-                         inbox empty) stops a run earlier, and a run that
-                         starts split practically never reaches one
+    max_ticks            horizon; only an absorbing state (settled, every
+                         inbox empty) stops a run earlier, which with messages
+                         in flight practically never happens; settled ticks
+                         (every value and queued vote equal) step by counting
     seed                 seed for the single run RNG
 
     A field of the wrong type (see check_field_types) raises ConfigError.
@@ -183,11 +165,36 @@ def make_friend_graph(
         raise ValueError(f"cannot pick f={f} friends out of {n} agents")
     if symmetric:
         return _symmetric_graph(n, f, rng)
+    # each row draws exactly what CPython 3.11's rng.sample(range(others), f)
+    # draws, written out so the replay contract does not rest on sample: picks
+    # from a shrinking pool while that list is smaller than a set of f picks
+    # would be, else redraws against the set of picks so far
+    others = n - 1
+    getrandbits = rng.getrandbits
+    set_size = 21 + (4 ** math.ceil(math.log(f * 3, 4)) if f > 5 else 0)
     adjacency = []
-    for agent_id in range(n):
-        picks = rng.sample(range(n - 1), f)
-        # the sample is over "others": indices >= agent_id shift up by one
-        adjacency.append(sorted(p if p < agent_id else p + 1 for p in picks))
+    if others <= set_size:
+        for agent_id in range(n):
+            pool = list(range(others))
+            picks = []
+            for size in range(others, others - f, -1):
+                bits = size.bit_length()
+                pick = getrandbits(bits)
+                while pick >= size:
+                    pick = getrandbits(bits)
+                picks.append(pool[pick])
+                pool[pick] = pool[size - 1]
+            # the picks are over "others": indices >= agent_id shift up by one
+            adjacency.append(sorted([p + (p >= agent_id) for p in picks]))
+    else:
+        bits = others.bit_length()
+        for agent_id in range(n):
+            chosen: set[int] = set()
+            while len(chosen) < f:
+                pick = getrandbits(bits)
+                if pick < others:
+                    chosen.add(pick)
+            adjacency.append(sorted([p + (p >= agent_id) for p in chosen]))
     return FriendGraph._sampled(adjacency)
 
 

@@ -12,15 +12,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
-import numpy as np
-
 from .engine import draw_groups, init, init_group, run_state, run_states
-from .metrics import Observation, convergence_tick, observe, steady_change_rate
+from .metrics import Observation, convergence_tick, observe, pairwise_sum, steady_change_rate
 from .model import ConfigError, SimConfig, check_field_types
 from .output import json_text, write_atomic
 
@@ -130,7 +128,7 @@ def trajectory_csv(obs: Observation) -> str:
     return _csv_text(("tick", "value", "count"), (
         (tick, value, count)
         for tick, hist in enumerate(obs.histograms)
-        for value, count in enumerate(hist.tolist())
+        for value, count in enumerate(hist)
     ))
 
 
@@ -186,6 +184,8 @@ def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[
     workers = min(workers, len(jobs), _usable_cpus())
     if workers <= 1:
         return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # ~30 ms of import a lone worker skips
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs))  # map preserves job order
 
@@ -306,7 +306,12 @@ def _mean_gap(obs: Observation, burn_in: int) -> float:
     A run absorbed at or before burn_in contributes its final tick's gap.
     """
     last = len(obs.winning_count) - 1
-    return float(np.mean(obs.gaps(burn_in + 1 if last > burn_in else last, last + 1)))
+    return _mean(obs.gaps(burn_in + 1 if last > burn_in else last, last + 1))
+
+
+def _mean(values: list[float]) -> float:
+    """np.mean of a non-empty float list, to the bit."""
+    return pairwise_sum(values) / len(values)
 
 
 def sweep_scenario(
@@ -347,8 +352,8 @@ def sweep_scenario(
     rows: list[dict] = []
     for cell_index, config in enumerate(configs):
         chunk = [runs[cell_index, index] for index in range(reps)]
-        rates = np.array([r[0] for r in chunk])
-        gaps = np.array([r[2] for r in chunk])
+        rates = [r[0] for r in chunk]
+        mean_rate = _mean(rates)
         rows.append(
             {
                 "n": config.n,
@@ -357,10 +362,12 @@ def sweep_scenario(
                 "f": config.f,
                 "friend_prob": config.friend_prob,
                 "replications": reps,
-                "mean_change_rate": float(rates.mean()),
-                "std_change_rate": float(rates.std()),  # population std
+                "mean_change_rate": mean_rate,
+                # population std, as np.std computes it
+                "std_change_rate": math.sqrt(_mean([(r - mean_rate) * (r - mean_rate)
+                                                    for r in rates])),
                 "convergence_fraction": sum(r[1] for r in chunk) / reps,
-                "mean_clustering_gap": float(gaps.mean()),
+                "mean_clustering_gap": _mean([r[2] for r in chunk]),
             }
         )
     os.makedirs(out_dir, exist_ok=True)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -30,6 +31,19 @@ try:
 except SystemExit as exc:
     code = exc.code
 print("numpy loaded:", "numpy" in sys.modules)
+raise SystemExit(code)
+"""
+
+# the same with numpy blocked, so that an import of it in this process or in a
+# forked worker fails the command; reports whether the process pool was loaded
+BLOCKED_NUMPY_GUARD = """
+import runpy, sys
+sys.modules["numpy"] = None
+try:
+    runpy.run_module("gossipvote", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("pool loaded:", "concurrent.futures.process" in sys.modules)
 raise SystemExit(code)
 """
 
@@ -328,6 +342,23 @@ class TestEntryPoints:
         assert stdout_part in "\n".join(output)
         assert numpy_loaded == "numpy loaded: False"
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_simulate_and_sweep_never_load_numpy(self, tmp_path, command, workers):
+        scenario_path = small_scenario_file(tmp_path)
+        argv = [command, "--scenario", str(scenario_path), "--out", str(tmp_path / "out"),
+                "--workers", str(workers)]
+        if command == "sweep":
+            argv += ["--grid", "v=2,3"]  # one draw group: one job per replication
+        proc = subprocess.run(
+            [sys.executable, "-c", BLOCKED_NUMPY_GUARD, *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        # two replications fan out only where two CPUs are usable
+        pooled = workers > 1 and len(os.sched_getaffinity(0)) > 1
+        assert proc.stdout.splitlines()[-1] == f"pool loaded: {pooled}"
+
 
 class TestPackageExports:
     def test_names_resolve_on_first_use(self):
@@ -338,7 +369,7 @@ class TestPackageExports:
 
         assert observe is defined_observe
         assert simulate_scenario is defined_simulate
-        assert len(gossipvote.__all__) == len(set(gossipvote.__all__)) == 46
+        assert len(gossipvote.__all__) == len(set(gossipvote.__all__)) == 42
         assert gossipvote.__all__ == sorted(gossipvote.__all__)
         namespace: dict = {}
         exec("from gossipvote import *", namespace)

@@ -1,31 +1,35 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipvote.engine import TickEvents, Trajectory, init, run, run_state
-from gossipvote.metrics import (
+from oracles import (
     clustering_gap,
+    edge_arrays,
+    snapshots,
+    tick_metrics,
+    trajectory_from_snapshots,
+    trajectory_metrics,
+)
+
+from gossipvote.engine import NO_CHANGES, Trajectory, init, run, run_state
+from gossipvote.metrics import (
     convergence_tick,
     dissent_change_rate,
     live_change_rate,
     observe,
+    pairwise_sum,
     steady_change_rate,
-    tick_metrics,
-    trajectory_metrics,
 )
 from gossipvote.model import FriendGraph, SimConfig
 
 
 def fake_trajectory(snapshots: list[list[int]], changed: list[int], config: SimConfig) -> Trajectory:
-    events = [TickEvents(sent=0, delivered=0, integrations=c, changed=c) for c in changed]
-    return Trajectory(
-        snapshots=[np.array(s, dtype=np.int64) for s in snapshots],
-        events=events,
-        config=config,
-    )
+    return trajectory_from_snapshots(snapshots, config, changed)
 
 
 class TestTickMetrics:
@@ -95,8 +99,9 @@ class TestTickMetrics:
         config = SimConfig(n=80, k=1, v=3, max_ticks=50, seed=21)
         state = init(config)
         traj = run_state(state)
-        prev = traj.snapshots[0]
-        for snap, events in zip(traj.snapshots[1:], traj.events):
+        snaps = snapshots(traj)
+        prev = snaps[0]
+        for snap, events in zip(snaps[1:], traj.events):
             tm = tick_metrics(prev, snap, state.graph, k=1)
             assert tm.change_rate <= events.integrations / config.n + 1e-12
             prev = snap
@@ -151,7 +156,7 @@ class TestClusteringGap:
     def test_rejects_out_of_range_tick(self):
         traj = run(SimConfig(n=5, k=1, max_ticks=10, seed=3))
         with pytest.raises(IndexError, match="tick"):
-            clustering_gap(traj, FriendGraph([[] for _ in range(5)]), len(traj.snapshots))
+            clustering_gap(traj, FriendGraph([[] for _ in range(5)]), traj.n_ticks + 1)
 
 
 class TestTrajectoryHelpers:
@@ -159,7 +164,7 @@ class TestTrajectoryHelpers:
         state = init(SimConfig(n=30, k=1, v=2, max_ticks=25, seed=4))
         traj = run_state(state)
         per_tick = trajectory_metrics(traj, state.graph)
-        assert len(per_tick) == len(traj.snapshots)
+        assert len(per_tick) == traj.n_ticks + 1
         assert per_tick[0].change_rate == 0.0
 
     def test_convergence_tick_finds_first_unanimous_snapshot(self):
@@ -179,7 +184,7 @@ class TestTrajectoryHelpers:
         traj = run_state(state)
         tick = convergence_tick(observe(traj, state.graph))
         assert tick is not None  # this config reliably reaches unanimity
-        for snap in traj.snapshots[tick:]:
+        for snap in snapshots(traj)[tick:]:
             assert np.bincount(snap, minlength=2).max() == 60
 
 
@@ -261,16 +266,17 @@ SHAPES = {
 
 
 def assert_observation_matches_tick_metrics(config: SimConfig):
-    """observe() equals tick_metrics at every tick, floats bit for bit."""
+    """observe() equals the numpy oracle's tick_metrics at every tick, floats bit for bit."""
     state = init(config)
     traj = run_state(state)
     obs = observe(traj, state.graph)
-    src, dst = state.graph.edge_arrays()
-    assert len(obs.winning_count) == len(traj.snapshots)
-    prev = traj.snapshots[0]
-    for tick, snap in enumerate(traj.snapshots):
+    src, dst = edge_arrays(state.graph)
+    snaps = snapshots(traj)
+    assert len(obs.winning_count) == len(snaps)
+    prev = snaps[0]
+    for tick, snap in enumerate(snaps):
         ref = tick_metrics(prev, snap, state.graph, config.k)
-        assert obs.histograms[tick].tolist() == ref.histogram.tolist()
+        assert list(obs.histograms[tick]) == ref.histogram.tolist()
         assert obs.winning_count[tick] == ref.winning_count
         assert obs.change_rate[tick] == ref.change_rate
         assert obs.friend_agreement[tick] == ref.friend_agreement
@@ -283,7 +289,7 @@ def assert_observation_matches_tick_metrics(config: SimConfig):
         assert ref.random_agreement == float(np.sum((ref.histogram / config.n) ** 2))
         prev = snap
     for tick, tm in enumerate(trajectory_metrics(traj, state.graph)):
-        assert tm.histogram.tolist() == obs.histograms[tick].tolist()
+        assert tm.histogram.tolist() == list(obs.histograms[tick])
         assert (tm.winning_count, tm.change_rate, tm.friend_agreement, tm.random_agreement) == (
             obs.winning_count[tick], obs.change_rate[tick], obs.friend_agreement[tick],
             obs.random_agreement[tick])
@@ -302,31 +308,56 @@ class TestObserve:
         config, is_that_shape = SHAPES[shape]
         assert is_that_shape(assert_observation_matches_tick_metrics(config))
 
-    def test_unchanged_ticks_share_one_read_only_snapshot(self):
+    def test_unchanged_ticks_share_one_empty_change_record(self):
         state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
         traj = run_state(state)
-        shared = [traj.snapshots[t] is traj.snapshots[t - 1] for t in range(1, len(traj.snapshots))]
-        assert shared == [e.changed == 0 for e in traj.events]
-        assert any(shared) and not all(shared)
-        assert len({id(snap) for snap in traj.snapshots}) == shared.count(False) + 1
-        for snap in traj.snapshots:
-            assert not snap.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            traj.snapshots[-1][0] = 1
+        unchanged = [e.changes is NO_CHANGES for e in traj.events]
+        assert unchanged == [e.changed == 0 for e in traj.events]
+        assert any(unchanged) and not all(unchanged)
+        values = list(traj.initial)
+        for event in traj.events:
+            agents = list(event.changes[0::2])
+            assert len(agents) == event.changed and agents == sorted(set(agents))
+            if event.changes:
+                assert event.changes.typecode == "q"  # 8 bytes per number, no objects
+            for agent, new in zip(agents, event.changes[1::2]):
+                assert values[agent] != new
+                values[agent] = new
+        assert values == state.values
 
     def test_shared_ticks_share_one_histogram(self):
         state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
         traj = run_state(state)
         obs = observe(traj, state.graph)
-        for t in range(1, len(traj.snapshots)):
-            same = traj.snapshots[t] is traj.snapshots[t - 1]
+        for t in range(1, traj.n_ticks + 1):
+            same = not traj.events[t - 1].changes
             assert (obs.histograms[t] is obs.histograms[t - 1]) == same
             if same:
                 assert obs.change_rate[t] == 0.0 and obs.changed[t] == 0
-        assert not obs.histograms[0].flags.writeable
+        assert isinstance(obs.histograms[0], tuple)
 
     def test_rejects_snapshots_outside_the_domain(self):
         config = SimConfig(n=2, k=1, max_ticks=1, seed=0)
         traj = fake_trajectory([[0, 1], [0, 5]], changed=[1], config=config)
         with pytest.raises(ValueError, match="domain"):
             observe(traj, FriendGraph([[], []]))
+
+
+class TestPairwiseSum:
+    def test_equals_numpy_sum_mean_and_std_at_every_size_up_to_1000(self):
+        rng = np.random.default_rng(5)
+        for size in range(1001):
+            # magnitudes spread over 16 decades, so the summation order shows
+            values = (rng.random(size) * 10.0 ** rng.integers(-8, 8, size)).tolist()
+            assert pairwise_sum(values) == float(np.sum(values)), size
+            if values:
+                mean = pairwise_sum(values) / size
+                assert mean == float(np.mean(values)), size
+                spread = pairwise_sum([(x - mean) * (x - mean) for x in values]) / size
+                assert math.sqrt(spread) == float(np.std(values)), size
+
+    def test_split_halves_match_numpy_past_a_buffer(self):
+        rng = np.random.default_rng(6)
+        for size in (129, 255, 256, 257, 8191, 8192, 8193, 20_011):
+            values = rng.random(size).tolist()
+            assert pairwise_sum(values) == float(np.sum(values)), size

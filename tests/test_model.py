@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import edge_arrays
 from scipy import stats
 
 from gossipvote.engine import SimState, init, step
@@ -92,11 +93,35 @@ class TestFriendGraph:
 
     def test_edge_arrays_enumerate_every_directed_edge(self):
         graph = FriendGraph([[1, 2], [], [3], []])
-        src, dst = graph.edge_arrays()
+        src, dst = edge_arrays(graph)
         assert sorted(zip(src.tolist(), dst.tolist())) == [(0, 1), (0, 2), (2, 3)]
 
 
+def _sampled_rows(n: int, f: int, rng: random.Random) -> list[list[int]]:
+    """make_friend_graph's rows as random.Random.sample draws them."""
+    rows = []
+    for agent_id in range(n):
+        picks = rng.sample(range(n - 1), f)
+        rows.append(sorted(p if p < agent_id else p + 1 for p in picks))
+    return rows
+
+
 class TestMakeFriendGraph:
+    # (others, f) on both sides of sample's switch from its shrinking pool to its
+    # set of picks: at 21 others for f <= 5, 85 for f <= 21, 277 for f <= 85
+    @pytest.mark.parametrize("others, friends", [
+        *((others, f) for others in (20, 21, 22, 23) for f in (0, 1, 3, 5)),
+        *((others, f) for others in (84, 85, 86) for f in (6, 15, 21)),
+        *((others, f) for others in (276, 277, 278) for f in (22, 40, 85)),
+        (499, 20), (33, 15), (1, 1), (0, 0),
+    ])
+    def test_draws_exactly_what_random_sample_draws(self, others, friends):
+        for seed in range(3):
+            rng, reference = random.Random(seed), random.Random(seed)
+            graph = make_friend_graph(others + 1, friends, rng)
+            assert graph.adjacency == _sampled_rows(others + 1, friends, reference)
+            assert rng.getstate() == reference.getstate()
+
     def test_zero_friends(self):
         graph = make_friend_graph(5, 0, random.Random(1))
         assert graph.adjacency == [[], [], [], [], []]

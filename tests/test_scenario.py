@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import snapshots, trajectory_from_snapshots, trajectory_metrics
 
 from gossipvote.engine import init, run_state
 from gossipvote.metrics import observe
@@ -146,26 +148,34 @@ class TestCsvRendering:
 
 
     def test_equal_but_distinct_snapshots_give_the_same_csv_bytes(self):
-        """A hand-built trajectory, one array per tick, writes what the run writes."""
-        state = init(SimConfig(n=60, k=1, v=3, f=4, friend_prob=0.4, max_ticks=300, seed=14))
+        """A trajectory rebuilt from one array per tick writes what the run writes."""
+        config = SimConfig(n=60, k=1, v=3, f=4, friend_prob=0.4, max_ticks=300, seed=14)
+        state = init(config)
         traj = run_state(state)
-        copied = dataclasses.replace(traj, snapshots=[np.array(s) for s in traj.snapshots])
-        assert any(a is b for a, b in zip(traj.snapshots, traj.snapshots[1:]))
-        assert len({id(s) for s in copied.snapshots}) == len(copied.snapshots)
-        shared, distinct = observe(traj, state.graph), observe(copied, state.graph)
-        assert trajectory_csv(distinct) == trajectory_csv(shared)
-        assert metrics_csv(distinct) == metrics_csv(shared)
+        rebuilt = trajectory_from_snapshots([s.tolist() for s in snapshots(traj)], config)
+        assert rebuilt.events != traj.events  # only the change records survive the trip
+        assert [e.changes for e in rebuilt.events] == [e.changes for e in traj.events]
+        run_obs, rebuilt_obs = observe(traj, state.graph), observe(rebuilt, state.graph)
+        assert trajectory_csv(rebuilt_obs) == trajectory_csv(run_obs)
+        assert metrics_csv(rebuilt_obs) == metrics_csv(run_obs)
 
     @pytest.mark.parametrize("k", [1, 255])
     def test_uint8_snapshots_write_the_bytes_of_int64_ones(self, k):
+        """The CSVs equal the numpy oracle's, rendered from int64 snapshots; the
+        state's own snapshot stays uint8 up to k=255."""
         state = init(SimConfig(n=30, k=k, v=2, f=3, friend_prob=0.4, max_ticks=25, seed=5))
         traj = run_state(state)
-        assert {s.dtype for s in traj.snapshots} == {np.dtype(np.uint8)}
-        wide = {id(s): s.astype(np.int64) for s in traj.snapshots}  # keeps shared ticks shared
-        widened = dataclasses.replace(traj, snapshots=[wide[id(s)] for s in traj.snapshots])
-        narrow, int64 = observe(traj, state.graph), observe(widened, state.graph)
-        assert trajectory_csv(narrow) == trajectory_csv(int64)
-        assert metrics_csv(narrow) == metrics_csv(int64)
+        assert state.snapshot().dtype == np.uint8
+        assert state.snapshot().tolist() == snapshots(traj)[-1].tolist()
+        reference = trajectory_metrics(traj, state.graph)
+        assert {s.dtype for s in snapshots(traj)} == {np.dtype(np.int64)}
+        obs = observe(traj, state.graph)
+        assert trajectory_csv(obs) == "tick,value,count\r\n" + "".join(
+            f"{tick},{value},{count}\r\n" for tick, tm in enumerate(reference)
+            for value, count in enumerate(tm.histogram.tolist()))
+        assert metrics_csv(obs) == "tick,winning_count,change_rate,friend_agreement,random_agreement\r\n" + "".join(
+            f"{tick},{tm.winning_count},{tm.change_rate!r},{tm.friend_agreement!r},"
+            f"{tm.random_agreement!r}\r\n" for tick, tm in enumerate(reference))
 
 
 class TestWriteAtomic:
@@ -319,7 +329,8 @@ def _pool_sizes(monkeypatch, workers: int, jobs: int) -> list[int]:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(scenario_module, "ProcessPoolExecutor", RecordingPool)
+    # _map_jobs imports the pool class when it fans out, so patch it where it lives
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     assert scenario_module._map_jobs(abs, list(range(-jobs, 0)), workers) == list(
         range(jobs, 0, -1)
     )

@@ -8,7 +8,8 @@ in ascending agent-id order so equal seeds replay byte-for-byte:
 2. delivery — sent values are appended to target inboxes in sender order,
 3. integration — each agent whose inbox holds at least v values votes over
    the first v entries (plus its own value when configured), adopts the
-   operator's result, and clears the whole inbox.
+   operator's result, and clears the whole inbox; one pass
+   (integration.integrate_inboxes) does this for the whole tick.
 
 Because every send happens before any integration runs, two agents that
 message each other in the same tick exchange their old values (a
@@ -39,7 +40,7 @@ from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .integration import integrate
+from .integration import integrate_inboxes
 from .model import FriendGraph, KnowledgeValue, SimConfig, make_friend_graph
 
 if TYPE_CHECKING:
@@ -144,6 +145,17 @@ def draw_graph(config: SimConfig) -> tuple[FriendGraph, random.Random]:
     return make_friend_graph(config.n, config.f, rng, symmetric=config.symmetric_friends), rng
 
 
+def rng_at(rng_state: tuple) -> random.Random:
+    """A new RNG standing at rng_state (a getstate() result).
+
+    It is built without the OS seeding that random.Random() does, which
+    setstate would overwrite at once.
+    """
+    rng = random.Random.__new__(random.Random)
+    rng.setstate(rng_state)
+    return rng
+
+
 def init(
     config: SimConfig,
     values: list[KnowledgeValue] | None = None,
@@ -180,9 +192,7 @@ def init_group(
     rng_state = lead.rng.getstate()
     states = [lead]
     for config in configs[1:]:
-        rng = random.Random()
-        rng.setstate(rng_state)
-        states.append(init(config, lead.values, drawn=(lead.graph, rng)))
+        states.append(init(config, lead.values, drawn=(lead.graph, rng_at(rng_state))))
     return states
 
 
@@ -292,22 +302,14 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
         if len(inbox) == v:
             full.append(target)
 
-    # phase 3; inboxes are cleared on integration, so only `full` can be at v
-    include_self, strategy, consensus_prob = cfg.include_self, cfg.strategy, cfg.mixed_consensus_prob
-    rng = state.rng
-    changes: list[int] = []  # flat (agent, new value) pairs, agents ascending
+    if not full:  # nothing integrates, so no value changes and settled cannot flip
+        return TickEvents(sent=sent, delivered=sent, integrations=0, changed=0)
+
+    # phase 3, one pass over the full inboxes in agent order; integration
+    # clears an inbox, so only `full` can be at v
     full.sort()
-    for agent in full:
-        inbox = inboxes[agent]
-        own = values[agent]
-        votes = inbox[:v]
-        if include_self:
-            votes.append(own)
-        result = integrate(votes, own, strategy, consensus_prob, rng)
-        if result != own:
-            values[agent] = result
-            changes += (agent, result)
-        inbox.clear()
+    changes = integrate_inboxes(values, inboxes, full, v, cfg.include_self, cfg.strategy,
+                                cfg.mixed_consensus_prob, state.rng)
     state.settled = _settled(values, inboxes)
     return TickEvents(sent=sent, delivered=sent, integrations=len(full), changed=len(changes) // 2,
                       changes=array("q", changes) if changes else NO_CHANGES)
@@ -334,9 +336,7 @@ def lockstep(states: Sequence[SimState], ticks: int) -> Iterator[list[tuple[int,
                     or state.rng.getstate() != rng_state):
                 raise ValueError("states stepped in lockstep must share a draw key, "
                                  "a friend graph and an RNG state")
-        rng = random.Random()
-        rng.setstate(rng_state)
-        drawer = dataclasses.replace(lead, rng=rng)
+        drawer = dataclasses.replace(lead, rng=rng_at(rng_state))
     live = list(enumerate(states))
     try:
         for _ in range(ticks):

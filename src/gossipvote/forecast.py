@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import csv
 import math
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .engine import draw_graph, draw_groups, init_group, lockstep
+from .engine import draw_graph, draw_groups, init_group, lockstep, rng_at
 from .engine import step  # noqa: F401  perfbench's tracer test reads forecast.step
 from .integration import integrate
 from .model import FriendGraph, SimConfig
@@ -66,65 +65,70 @@ class ForecastDataset:
 def load_dataset(predictions_path: str, actuals_path: str) -> ForecastDataset:
     """Read the two CSVs (day,source,prediction and day,actual).
 
-    Raises DatasetError with the offending file and row number for malformed
-    rows, duplicate keys, or predictions on days missing from the actuals.
+    Raises DatasetError with the offending file and line for malformed rows
+    (the physical line a row ends on, so blank lines and quoted line breaks
+    count), duplicate keys, or predictions on days missing from the actuals.
     """
     actuals: dict[str, int] = {}
     days: list[str] = []
-    for row_no, row in _read_rows(actuals_path, ("day", "actual")):
-        day = row["day"].strip()
+    for line, (day, actual) in _read_rows(actuals_path, ("day", "actual")):
+        day = day.strip()
         if not day:
-            raise DatasetError(f"{actuals_path}:{row_no}: empty day")
+            raise DatasetError(f"{actuals_path}:{line}: empty day")
         if day in actuals:
-            raise DatasetError(f"{actuals_path}:{row_no}: duplicate day {day!r}")
-        actuals[day] = _parse_int(row["actual"], actuals_path, row_no, "actual")
+            raise DatasetError(f"{actuals_path}:{line}: duplicate day {day!r}")
+        actuals[day] = _parse_int(actual, actuals_path, line, "actual")
         days.append(day)
 
     sources: dict[str, dict[str, int]] = {}
-    for row_no, row in _read_rows(predictions_path, ("day", "source", "prediction")):
-        name = row["source"].strip()
-        day = row["day"].strip()
+    columns = ("day", "source", "prediction")
+    for line, (day, name, prediction) in _read_rows(predictions_path, columns):
+        name = name.strip()
+        day = day.strip()
         if not name:
-            raise DatasetError(f"{predictions_path}:{row_no}: empty source")
+            raise DatasetError(f"{predictions_path}:{line}: empty source")
         if day not in actuals:
             raise DatasetError(
-                f"{predictions_path}:{row_no}: day {day!r} has no actual"
+                f"{predictions_path}:{line}: day {day!r} has no actual"
             )
         by_day = sources.setdefault(name, {})
         if day in by_day:
             raise DatasetError(
-                f"{predictions_path}:{row_no}: duplicate prediction for "
+                f"{predictions_path}:{line}: duplicate prediction for "
                 f"({name!r}, {day!r})"
             )
-        by_day[day] = _parse_int(row["prediction"], predictions_path, row_no, "prediction")
+        by_day[day] = _parse_int(prediction, predictions_path, line, "prediction")
 
     return ForecastDataset(days=tuple(days), sources=sources, actuals=actuals)
 
 
-def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, dict[str, str]]]:
+def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, list[str]]]:
+    """Each non-blank row after the header, with the physical line it ends on."""
     with open(path, newline="") as fh:
         try:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
-            if header is None or [c.strip() for c in header] != list(columns):
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if not header or [c.strip() for c in header] != list(columns):
                 raise DatasetError(
                     f"{path}:1: expected header {','.join(columns)!r}, got "
                     f"{','.join(header) if header else '<empty file>'!r}"
                 )
-            for row_no, row in enumerate(reader, start=2):
-                if None in row or any(value is None for value in row.values()):
-                    raise DatasetError(f"{path}:{row_no}: wrong number of fields")
-                yield row_no, row
+            for row in reader:
+                if not row:
+                    continue  # a blank line
+                if len(row) != len(columns):
+                    raise DatasetError(f"{path}:{reader.line_num}: wrong number of fields")
+                yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise DatasetError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
 
 
-def _parse_int(text: str, path: str, row_no: int, column: str) -> int:
+def _parse_int(text: str, path: str, line: int, column: str) -> int:
     try:
         return int(text.strip())
     except ValueError:
         raise DatasetError(
-            f"{path}:{row_no}: {column} must be an integer, got {text!r}"
+            f"{path}:{line}: {column} must be an integer, got {text!r}"
         ) from None
 
 
@@ -249,10 +253,8 @@ def _gossip_day(
     values: list[int], configs: list[SimConfig], graph: FriendGraph, rng_state: tuple
 ) -> list[list[int]]:
     """One draw group's final values after max_ticks ticks of gossip in lockstep."""
-    rng = random.Random()
-    rng.setstate(rng_state)
     # the values are given, so the runs draw nothing before their first tick
-    states = init_group(configs, values, drawn=(graph, rng))
+    states = init_group(configs, values, drawn=(graph, rng_at(rng_state)))
     for _ in lockstep(states, configs[0].max_ticks):
         pass
     return [state.values for state in states]

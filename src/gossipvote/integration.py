@@ -2,7 +2,9 @@
 
 All three are pure functions of the vote set (plus one coin for the mixed
 strategy); the engine never peeks inside them. Each rule is written once, in
-integrate(), on a plain sequence of votes; the public VoteSet functions wrap it.
+integrate_inboxes(), the pass the engine runs once per tick over every full
+inbox; integrate() runs it for one vote set, and the public VoteSet functions
+wrap that.
 """
 
 from __future__ import annotations
@@ -32,29 +34,67 @@ class VoteSet:
             raise ValueError("a vote set needs at least one value")
 
 
+def integrate_inboxes(values: list[KnowledgeValue], inboxes: list[list[KnowledgeValue]],
+                      agents: Sequence[int], v: int, include_self: bool, strategy: str,
+                      consensus_prob: float = 0.0, rng: random.Random | None = None,
+                      ) -> list[KnowledgeValue]:
+    """Integrate each listed agent's full inbox, in the order given; the operator is chosen once.
+
+    Each listed inbox holds at least v votes. An agent votes over the first v
+    of them, plus values[agent] when include_self, adopts the result in
+    values and has its whole inbox cleared. Returns the flat (agent, new
+    value) pairs of the agents whose value changed.
+
+    "dominant" keeps the agent's value (own) when it holds at least half the
+    votes; otherwise it counts each distinct vote in ascending order and
+    replaces the leader (own, at own's count) only on a strictly higher
+    count, so ties keep own if own is tied, else take the smallest value.
+    "consensus" takes the lower median, so an even vote count gives the
+    lower middle value and the result is always a cast vote. "mixed" draws
+    exactly one coin from rng per listed agent, whatever the outcome, keeping
+    run replay byte-stable, and applies consensus with probability
+    consensus_prob, else dominant. Only "mixed" needs rng.
+    """
+    size = v + include_self
+    median = (size - 1) // 2
+    consensus = strategy == "consensus"
+    coin = rng.random if strategy == "mixed" else None
+    changes: list[KnowledgeValue] = []
+    for agent in agents:
+        votes = inboxes[agent]
+        own = values[agent]
+        del votes[v:]
+        if include_self:
+            votes.append(own)
+        if consensus or (coin is not None and coin() < consensus_prob):
+            votes.sort()
+            result = votes[median]
+        else:
+            result = own
+            best = votes.count(own)
+            if 2 * best < size:
+                for value in sorted(set(votes)):
+                    count = votes.count(value)
+                    if count > best:
+                        result, best = value, count
+        votes.clear()
+        if result != own:
+            values[agent] = result
+            changes += (agent, result)
+    return changes
+
+
 def integrate(votes: Sequence[KnowledgeValue], own: KnowledgeValue | None, strategy: str,
               consensus_prob: float = 0.0, rng: random.Random | None = None) -> KnowledgeValue:
-    """Apply one strategy to a non-empty sequence of in-domain votes.
+    """Apply one strategy to a non-empty sequence of in-domain votes (see integrate_inboxes).
 
-    "dominant" takes the most frequent value; ties keep own if own is tied,
-    else take the smallest. "consensus" takes the lower median, so even sizes
-    give the lower middle value and the result is always a cast vote.
-    "mixed" draws exactly one coin from rng whatever the outcome, keeping run
-    replay byte-stable, and applies consensus with probability consensus_prob,
-    else dominant. Only "mixed" needs rng.
+    The votes are the whole vote set, own included when it counts; own=None
+    (e.g. a supervisor integrating for a whole group) only removes the
+    preference for keeping it, so ties break to the smallest value.
     """
-    if strategy == "consensus" or (strategy == "mixed" and rng.random() < consensus_prob):
-        ordered = sorted(votes)
-        return ordered[(len(ordered) - 1) // 2]
-    if own is not None and 2 * votes.count(own) >= len(votes):
-        return own  # holding half the votes, own is tied at worst
-    counts: dict[KnowledgeValue, int] = {}
-    for value in votes:
-        counts[value] = counts.get(value, 0) + 1
-    best = max(counts.values())
-    if own is not None and counts.get(own) == best:
-        return own
-    return min(value for value, count in counts.items() if count == best)
+    changes = integrate_inboxes([own], [list(votes)], (0,), len(votes), False, strategy,
+                                consensus_prob, rng)
+    return changes[1] if changes else own
 
 
 def dominant_value(votes: VoteSet) -> KnowledgeValue:

@@ -163,6 +163,8 @@ def make_friend_graph(
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= f <= n - 1:
         raise ValueError(f"cannot pick f={f} friends out of {n} agents")
+    if f == 0:  # no friends to draw, whichever graph was asked for
+        return FriendGraph._sampled([[] for _ in range(n)])
     if symmetric:
         return _symmetric_graph(n, f, rng)
     # each row draws exactly what CPython 3.11's rng.sample(range(others), f)
@@ -201,8 +203,6 @@ def make_friend_graph(
 def _symmetric_graph(n: int, f: int, rng: random.Random) -> FriendGraph:
     if (n * f) % 2:
         raise ValueError(f"n*f must be even for a symmetric graph, got n={n}, f={f}")
-    if f == 0:
-        return FriendGraph._sampled([[] for _ in range(n)])
     edges: set[tuple[int, int]] = set()
     for i in range(n):
         for d in range(1, f // 2 + 1):

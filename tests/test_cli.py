@@ -229,6 +229,26 @@ class TestForecastCommand:
         assert code == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
 
+    def test_error_after_a_blank_line_names_the_physical_line(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("day,source,prediction\nd1,a,1\n")
+        act = tmp_path / "act.csv"
+        act.write_text("day,actual\nd1,5\n\nd2,6\nd3,x\n")
+        code = main(["forecast", str(pred), str(act)])
+        assert code == EXIT_INVALID
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{act}:5: actual must be an integer, got 'x'")
+
+    def test_error_after_a_quoted_line_break_names_the_physical_line(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        pred.write_text('day,source,prediction\nd1,"two\nlines",1\nd1,b,x\n')
+        act = tmp_path / "act.csv"
+        act.write_text("day,actual\nd1,5\n")
+        code = main(["forecast", str(pred), str(act)])
+        assert code == EXIT_INVALID
+        assert_one_error_line(capsys.readouterr().err,
+                              f"{pred}:4: prediction must be an integer, got 'x'")
+
     @pytest.mark.parametrize("which", ["predictions", "actuals"])
     def test_non_utf8_csv_is_one_error_line(self, tmp_path, capsys, which):
         paths = {"predictions": tmp_path / "p.csv", "actuals": tmp_path / "a.csv"}

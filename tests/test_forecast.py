@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,8 @@ from gossipvote.forecast import (
 )
 from gossipvote.integration import integrate
 from gossipvote.model import SimConfig
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 def write_csvs(tmp_path, predictions: list[tuple[str, str, object]], actuals: list[tuple[str, object]]):
@@ -92,6 +95,14 @@ class TestLoadDataset:
         act.write_text("day,actual\nd1,1\n")
         with pytest.raises(DatasetError, match="header"):
             load_dataset(str(pred), str(act))
+
+    def test_header_cells_may_carry_spaces(self, tmp_path):
+        pred = tmp_path / "p.csv"
+        pred.write_text("day, source ,prediction\nd1,a,1\n")
+        act = tmp_path / "a.csv"
+        act.write_text("day, actual\nd1,1\n")
+        data = load_dataset(str(pred), str(act))
+        assert data.sources == {"a": {"d1": 1}} and data.actuals == {"d1": 1}
 
     def test_missing_file_is_an_io_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -294,6 +305,26 @@ class TestSharedDays:
             for f in dict.fromkeys(min(f, len(data.predictions_for(day)) - 1) for f in friend_counts)
         ]
         assert drawn == expected
+
+    def test_only_the_day_graphs_seed_an_rng(self, monkeypatch):
+        # every other RNG of a day is a copy of a graph's RNG state, made without seeding
+        draw_graph, drawn, seeded = forecast_module.draw_graph, [], []
+        original_seed = random.Random.seed
+
+        def counting_draw_graph(config):
+            drawn.append((config.seed, config.f))
+            return draw_graph(config)
+
+        def counting_seed(self, *args, **kwargs):
+            seeded.append(args)
+            return original_seed(self, *args, **kwargs)
+
+        monkeypatch.setattr(forecast_module, "draw_graph", counting_draw_graph)
+        monkeypatch.setattr(random.Random, "seed", counting_seed)
+        data = load_dataset(str(DATA_DIR / "synthetic_predictions.csv"),
+                            str(DATA_DIR / "synthetic_actuals.csv"))
+        evaluate(data, VARIANTS, seed=0)
+        assert drawn and [args[0] for args in seeded] == [seed for seed, _ in drawn]
 
 
 class TestMae:

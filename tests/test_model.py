@@ -126,6 +126,11 @@ class TestMakeFriendGraph:
         graph = make_friend_graph(5, 0, random.Random(1))
         assert graph.adjacency == [[], [], [], [], []]
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_zero_friends_touch_no_rng(self, symmetric):
+        graph = make_friend_graph(40, 0, object(), symmetric=symmetric)  # any draw would raise
+        assert graph.adjacency == [[] for _ in range(40)]
+
     def test_two_agents_one_friend_is_forced(self):
         graph = make_friend_graph(2, 1, random.Random(7))
         assert graph.adjacency == [[1], [0]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import statistics
 
-from gossipvote import SimConfig, init, observe, run_state
+from gossipvote import SimConfig, init, observe, run_states
 
 
 def mean_gap(friend_prob: float, seed: int, args: argparse.Namespace) -> float:
@@ -27,7 +27,7 @@ def mean_gap(friend_prob: float, seed: int, args: argparse.Namespace) -> float:
             seed=seed,
         )
     )
-    traj = run_state(state)
+    (traj,) = run_states([state])
     return statistics.mean(observe(traj, state.graph).gaps(args.first_tick, args.last_tick + 1))
 
 

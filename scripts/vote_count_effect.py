@@ -2,7 +2,7 @@
 """Measure how the vote-gathering count v shapes long-run change rates.
 
 Runs paired seeds at two v settings (binary domain, no preferential
-channels), the two runs of a seed stepping in lockstep on one draw sequence,
+channels), the two runs of a seed stepping together on one draw sequence,
 and prints, per arm, three rates over the ticks after --burn-in: value
 changes per dissenting agent-tick (the quantity acceptance check a03 gates),
 the per-tick change rate up to the first unanimous snapshot, and the steady
@@ -31,7 +31,7 @@ RATES = ("changes per dissenting agent-tick", "per-tick rate up to unanimity", "
 def arms(
     vs: tuple[int, ...], seed: int, horizon: int, burn_in: int
 ) -> list[tuple[tuple[float, ...], int | None]]:
-    """One seed's run at each v, stepped in lockstep on one draw sequence."""
+    """One seed's run at each v, stepped together on one draw sequence."""
     states = init_group([
         SimConfig(n=500, k=1, v=v, f=0, activation_prob=0.5, max_ticks=horizon, seed=seed)
         for v in vs

@@ -2,17 +2,17 @@
 
 import importlib
 
-# Each public name and the module that defines it. Names load on first use
-# (PEP 562), so a command imports only the modules it runs. No command loads
-# numpy; only SimState.snapshot does.
+# Each public name and the module that defines it, the one list of public
+# names (__all__ is its sorted copy). Names load on first use (PEP 562), so a
+# command imports only the modules it runs. No command loads numpy; only
+# SimState.snapshot does.
 _EXPORTS = {
-    "engine": ("SimState", "TickEvents", "Trajectory", "init", "run", "run_state", "step"),
+    "engine": ("SimState", "TickEvents", "Trajectory", "init", "run_states", "step"),
     "forecast": (
         "VARIANTS", "Comparison", "DatasetError", "EvalReport", "ForecastDataset",
         "GossipParams", "VariantSpec", "compare_cell", "compare_report", "evaluate",
-        "evaluate_variant", "load_dataset", "mae", "run_variant",
+        "load_dataset", "mae", "run_variant",
     ),
-    "integration": ("VoteSet", "consensus_value", "dominant_value", "mixed_integrate"),
     "metrics": (
         "Observation", "convergence_tick", "dissent_change_rate", "live_change_rate",
         "observe", "steady_change_rate",
@@ -27,50 +27,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Comparison",
-    "ConfigError",
-    "DatasetError",
-    "EvalReport",
-    "ForecastDataset",
-    "FriendGraph",
-    "GossipParams",
-    "KnowledgeValue",
-    "Observation",
-    "Scenario",
-    "SimConfig",
-    "SimState",
-    "TickEvents",
-    "Trajectory",
-    "VARIANTS",
-    "VariantSpec",
-    "VoteSet",
-    "compare_cell",
-    "compare_report",
-    "consensus_value",
-    "convergence_tick",
-    "dissent_change_rate",
-    "dominant_value",
-    "evaluate",
-    "evaluate_variant",
-    "init",
-    "live_change_rate",
-    "load_dataset",
-    "load_scenario",
-    "mae",
-    "make_friend_graph",
-    "mixed_integrate",
-    "observe",
-    "parse_grid",
-    "run",
-    "run_state",
-    "run_variant",
-    "save_scenario",
-    "simulate_scenario",
-    "steady_change_rate",
-    "step",
-    "sweep_scenario",
-]
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str) -> object:

@@ -1,7 +1,7 @@
 """Command-line front end: simulate, sweep, forecast.
 
-Exit codes: 0 success, 1 invalid inputs (bad scenario, grid, CSV, or variant
-name), 2 I/O failure (missing files, unwritable output directory).
+Exit codes: 0 success, 1 invalid inputs (bad arguments, scenario, grid, CSV,
+or variant name), 2 I/O failure (missing files, unwritable output directory).
 
 Each command imports only the modules it runs, and none of them loads numpy.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .model import ConfigError
 from .output import json_text, write_atomic
@@ -21,8 +21,15 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end in main's one error: line and exit 1."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gossipvote",
         description="Agent-based gossip voting simulator and forecast aggregation harness.",
     )
@@ -53,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "sweep":

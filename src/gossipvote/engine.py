@@ -22,9 +22,9 @@ random.Random.randrange draws it; then one coin per mixed integration.
 Apart from those mixed coins, no draw depends on values, v, include_self or
 the operator, so runs that differ only there (equal draw_key) draw the same
 friend graph, initial values and sends. init_group builds such a draw group
-and lockstep steps it: each tick's sends are drawn once and delivered to
-every member, which still takes its own step per tick with the TickEvents of
-a lone run.
+and run_states, the one loop that steps runs, steps it: each tick's sends are
+drawn once and delivered to every member, which still takes its own step per
+tick with the TickEvents of a lone run.
 
 A state is settled once every agent holds one value w and every queued vote
 is w: no operator can change a value from then on. step latches that after
@@ -38,7 +38,7 @@ import dataclasses
 import random
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .integration import integrate_inboxes
 from .model import FriendGraph, KnowledgeValue, SimConfig, make_friend_graph
@@ -182,7 +182,7 @@ def init_group(
     values: list[KnowledgeValue] | None = None,
     drawn: tuple[FriendGraph, random.Random] | None = None,
 ) -> list[SimState]:
-    """Fresh states for one draw group (see draw_key), ready to step in lockstep.
+    """Fresh states for one draw group (see draw_key), ready for run_states.
 
     The first state is init(configs[0], values, drawn); each other state
     starts from its friend graph, its initial values and a copy of its RNG,
@@ -201,7 +201,7 @@ def draw_key(config: SimConfig) -> tuple | None:
 
     Runs with equal keys draw the same friend graph, initial values and
     per-tick sends, whatever their v, include_self and (non-mixed) strategy,
-    so they can step in lockstep on one draw sequence. "mixed" draws one coin
+    so they can step together on one draw sequence. "mixed" draws one coin
     per integration from the same stream, between one tick's sends and the
     next's. A tick's integrations depend only on its sends and v, not on the
     values, but members of a group may differ in v, and then their coin
@@ -315,16 +315,16 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
                       changes=array("q", changes) if changes else NO_CHANGES)
 
 
-def lockstep(states: Sequence[SimState], ticks: int) -> Iterator[list[tuple[int, TickEvents]]]:
-    """Step one draw group for up to `ticks` ticks, drawing each tick's sends once.
+def run_states(states: Sequence[SimState]) -> list[Trajectory]:
+    """Run states to their horizon, one trajectory each, as each would run alone.
 
-    Yields, after every tick, (index, events) for each state stepped in it. A
-    state stops before the first tick at which it is absorbing (checked
-    before each tick, so an initially unanimous state takes no tick), and
-    the group stops when every state has. Each state ends holding the RNG
-    state its lone run would leave. The states must share a draw key (see
-    draw_key), a friend graph and an RNG state; a lone state draws from its
-    own RNG, mixed coins included.
+    A lone state draws from its own RNG, mixed coins included. Several states
+    are one draw group: they must share a draw key (see draw_key), a friend
+    graph and an RNG state, and each tick's sends are drawn once, from a
+    private copy of that RNG, and delivered to every member. A member stops
+    before the first tick at which it is absorbing (checked before each tick,
+    so an initially unanimous state takes no tick) and ends holding the
+    events, values and RNG state of its lone run.
     """
     lead = states[0]
     drawer = lead
@@ -334,64 +334,30 @@ def lockstep(states: Sequence[SimState], ticks: int) -> Iterator[list[tuple[int,
         for state in states[1:]:
             if (key is None or draw_key(state.config) != key or state.graph != lead.graph
                     or state.rng.getstate() != rng_state):
-                raise ValueError("states stepped in lockstep must share a draw key, "
+                raise ValueError("states of one draw group must share a draw key, "
                                  "a friend graph and an RNG state")
         drawer = dataclasses.replace(lead, rng=rng_at(rng_state))
-    live = list(enumerate(states))
-    try:
-        for _ in range(ticks):
-            # plain loops, not comprehensions: this runs once per tick of every run
-            for _, state in live:
-                if state.is_absorbing():
-                    live = _leave(live, drawer)
-                    if not live:
-                        return
-                    break
-            sends = draw_sends(drawer)
-            stepped = []
-            for index, state in live:
-                stepped.append((index, step(state, sends)))
-            yield stepped
-    finally:
-        for _, state in live:
-            _hand_rng(state, drawer)
-
-
-def _leave(live: list[tuple[int, SimState]], drawer: SimState) -> list[tuple[int, SimState]]:
-    """The live entries minus the absorbing ones, which get their lone runs' RNG state."""
-    staying = []
-    for entry in live:
-        if entry[1].is_absorbing():
-            _hand_rng(entry[1], drawer)
-        else:
-            staying.append(entry)
-    return staying
-
-
-def _hand_rng(state: SimState, drawer: SimState) -> None:
-    """Give a state that stops stepping the RNG state its lone run would hold."""
-    if state.rng is not drawer.rng:
+    trajs = [Trajectory(initial=tuple(state.values), events=[], config=state.config)
+             for state in states]
+    live = list(zip(states, trajs))
+    for _ in range(lead.config.max_ticks):
+        # plain loops, not comprehensions: this runs once per tick of every run
+        for state, _ in live:
+            if state.is_absorbing():
+                staying = []
+                for member, traj in live:
+                    if member.is_absorbing():
+                        member.rng.setstate(drawer.rng.getstate())  # its lone run stops here
+                    else:
+                        staying.append((member, traj))
+                live = staying
+                break
+        if not live:
+            break
+        sends = draw_sends(drawer)
+        for state, traj in live:
+            traj.events.append(step(state, sends))
+    # a group member takes the drawer's RNG state; a lone state's RNG is the drawer's own
+    for state, _ in live:
         state.rng.setstate(drawer.rng.getstate())
-
-
-def run_states(states: Sequence[SimState]) -> list[Trajectory]:
-    """Run one draw group to its horizon in lockstep (see lockstep), one trajectory each.
-
-    Each trajectory equals the one run_state would record for that state alone.
-    """
-    initial = [tuple(state.values) for state in states]
-    events: list[list[TickEvents]] = [[] for _ in states]
-    for stepped in lockstep(states, states[0].config.max_ticks):
-        for index, tick in stepped:
-            events[index].append(tick)
-    return [Trajectory(initial=values, events=ticks, config=state.config)
-            for state, values, ticks in zip(states, initial, events)]
-
-
-def run_state(state: SimState) -> Trajectory:
-    """Run an initialized state to its horizon, recording every tick's events."""
-    return run_states([state])[0]
-
-
-def run(config: SimConfig) -> Trajectory:
-    return run_state(init(config))
+    return trajs

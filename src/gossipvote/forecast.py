@@ -17,18 +17,19 @@ so appending days never perturbs earlier ones.
 
 The harness walks the days once for all requested variants. A day's shift
 and each of its distinct friend graphs are computed once and shared by the
-variants that need them, and variants whose draws coincide step in lockstep
-on one draw sequence; nothing is kept from one day to the next.
+variants that need them, and variants whose draws coincide step together
+on one draw sequence (engine.run_states); nothing is kept from one day to
+the next.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .engine import draw_graph, draw_groups, init_group, lockstep, rng_at
+from .engine import draw_graph, draw_groups, init_group, rng_at, run_states
 from .engine import step  # noqa: F401  perfbench's tracer test reads forecast.step
 from .integration import integrate
 from .model import FriendGraph, SimConfig
@@ -216,7 +217,7 @@ def _integrate_day(values: list[int], specs: Sequence[VariantSpec], seed: int) -
 
     A day's graph depends only on (seed, n, f), so the gossip variants with
     equal f share one graph. Variants with equal draw keys (see
-    engine.draw_key) also share every tick's sends and step in lockstep;
+    engine.draw_key) also share every tick's sends and step together;
     each starts from its own copy of the RNG state after the graph's draws,
     so a variant draws what it would draw alone.
     """
@@ -252,11 +253,10 @@ def _gossip_config(n: int, k: int, params: GossipParams, seed: int) -> SimConfig
 def _gossip_day(
     values: list[int], configs: list[SimConfig], graph: FriendGraph, rng_state: tuple
 ) -> list[list[int]]:
-    """One draw group's final values after max_ticks ticks of gossip in lockstep."""
+    """One draw group's final values after max_ticks ticks of gossip on one draw sequence."""
     # the values are given, so the runs draw nothing before their first tick
     states = init_group(configs, values, drawn=(graph, rng_at(rng_state)))
-    for _ in lockstep(states, configs[0].max_ticks):
-        pass
+    run_states(states)
     return [state.values for state in states]
 
 
@@ -326,12 +326,6 @@ def compare_report(
     )
 
 
-def evaluate_variant(
-    data: ForecastDataset, spec: VariantSpec, seed: int = 0
-) -> EvalReport:
-    return evaluate(data, [spec], seed)[0]
-
-
 def evaluate(
     data: ForecastDataset, specs: Iterable[VariantSpec] = VARIANTS, seed: int = 0
 ) -> list[EvalReport]:
@@ -378,22 +372,5 @@ def render_table(reports: list[EvalReport]) -> str:
 
 
 def report_payload(reports: list[EvalReport], seed: int) -> dict:
-    """JSON-ready mirror of the rendered table."""
-    return {
-        "seed": seed,
-        "variants": [
-            {
-                "variant": report.variant,
-                "system_mae": report.system_mae,
-                "per_source_mae": report.per_source_mae,
-                "vs_best": _comparison_payload(report.vs_best),
-                "vs_worst": _comparison_payload(report.vs_worst),
-                "vs_avg": _comparison_payload(report.vs_avg),
-            }
-            for report in reports
-        ],
-    }
-
-
-def _comparison_payload(comparison: Comparison) -> dict:
-    return {"ratio": comparison.ratio, "label": comparison.label}
+    """JSON-ready mirror of the rendered table: each report's fields, in EvalReport's order."""
+    return {"seed": seed, "variants": [asdict(report) for report in reports]}

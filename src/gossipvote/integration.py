@@ -3,35 +3,16 @@
 All three are pure functions of the vote set (plus one coin for the mixed
 strategy); the engine never peeks inside them. Each rule is written once, in
 integrate_inboxes(), the pass the engine runs once per tick over every full
-inbox; integrate() runs it for one vote set, and the public VoteSet functions
-wrap that.
+inbox; integrate() runs it for one vote set, which is how the forecast's
+supervisor integrates a whole population.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 from .model import KnowledgeValue
-
-
-@dataclass(frozen=True)
-class VoteSet:
-    """The multiset an integration step ranges over.
-
-    own is the integrating agent's current value and only breaks ties in
-    favour of keeping it; None (e.g. a supervisor integrating for a whole
-    group) removes that preference, so ties break to the smallest value.
-    own must already be in values when the agent counts itself.
-    """
-
-    values: tuple[KnowledgeValue, ...]
-    own: KnowledgeValue | None = None
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("a vote set needs at least one value")
 
 
 def integrate_inboxes(values: list[KnowledgeValue], inboxes: list[list[KnowledgeValue]],
@@ -96,28 +77,3 @@ def integrate(votes: Sequence[KnowledgeValue], own: KnowledgeValue | None, strat
                                 consensus_prob, rng)
     return changes[1] if changes else own
 
-
-def dominant_value(votes: VoteSet) -> KnowledgeValue:
-    """Most frequent value; ties keep own if own is tied, else take the smallest."""
-    return integrate(votes.values, votes.own, "dominant")
-
-
-def consensus_value(votes: VoteSet, k: int) -> KnowledgeValue:
-    """Lower median of the vote set over the ordered domain 0..k."""
-    return integrate(_in_domain(votes, k), votes.own, "consensus")
-
-
-def mixed_integrate(
-    votes: VoteSet, k: int, consensus_prob: float, rng: random.Random
-) -> KnowledgeValue:
-    """Apply consensus with probability consensus_prob, else dominant; one coin."""
-    if not 0.0 <= consensus_prob <= 1.0:
-        raise ValueError(f"consensus_prob must lie in [0, 1], got {consensus_prob}")
-    return integrate(_in_domain(votes, k), votes.own, "mixed", consensus_prob, rng)
-
-
-def _in_domain(votes: VoteSet, k: int) -> tuple[KnowledgeValue, ...]:
-    for value in votes.values:
-        if not 0 <= value <= k:
-            raise ValueError(f"vote {value} outside domain 0..{k}")
-    return votes.values

@@ -161,12 +161,16 @@ def dissent_change_rate(obs: Observation, burn_in: int) -> float:
     does not depend on how long a run goes on after unanimity. A run with
     no dissent left after burn_in scores 0.0.
     """
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     dissent = sum(obs.n - winning for winning in obs.winning_count[burn_in:-1])
     return sum(obs.changed[burn_in + 1:]) / dissent if dissent else 0.0
 
 
 def live_change_rate(obs: Observation, burn_in: int) -> float:
     """Mean per-agent change rate over ticks burn_in+1 .. convergence_tick(obs)."""
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     converged = convergence_tick(obs)
     live = obs.changed[burn_in + 1:None if converged is None else converged + 1]
     return sum(live) / (len(live) * obs.n) if live else 0.0

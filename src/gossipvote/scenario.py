@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .engine import draw_groups, init, init_group, run_state, run_states
+from .engine import draw_groups, init, init_group, run_states
 from .metrics import Observation, convergence_tick, observe, pairwise_sum, steady_change_rate
 from .model import ConfigError, SimConfig, check_field_types
 from .output import json_text, write_atomic
@@ -157,7 +157,7 @@ def _run_replication(args: tuple[Scenario, int]) -> ReplicationOutput:
     scenario, index = args
     config = scenario.replication_config(index)
     state = init(config)
-    traj = run_state(state)
+    (traj,) = run_states([state])
     obs = observe(traj, state.graph)
     summary = {
         "seed": config.seed,
@@ -284,7 +284,7 @@ SWEEP_COLUMNS = (
 
 
 def _sweep_job(args: tuple[list[SimConfig], int]) -> list[tuple[float, bool, float]]:
-    """One replication of one draw group, stepped in lockstep: each config's sweep figures."""
+    """One replication of one draw group, stepped together: each config's sweep figures."""
     configs, burn_in = args
     states = init_group(configs)
     trajs = run_states(states)

@@ -4,7 +4,7 @@ Eight checks, in fixed order, each printing one summary line and enforcing
 a wall-clock budget.  Statistical checks pin their seeds so reruns are
 exactly reproducible; where a check compares paired runs, both arms share
 a seed. The vote-count arms (v=3 and v=20) then share every draw (friend
-graph, initial values and each tick's sends) and step in lockstep, so they
+graph, initial values and each tick's sends) and step together, so they
 differ only in the vote rule. The friend-channel arms differ in
 friend_prob, which changes their draws.
 """
@@ -19,15 +19,15 @@ from time import perf_counter
 
 from oracles import median_cost_oracle, mode_oracle
 
-from gossipvote.engine import init, init_group, run_state, run_states, step
+from gossipvote.engine import init, init_group, run_states, step
 from gossipvote.forecast import (
     compare_report,
-    evaluate_variant,
+    evaluate,
     load_dataset,
     run_variant,
     variant_by_name,
 )
-from gossipvote.integration import VoteSet, consensus_value, dominant_value
+from gossipvote.integration import integrate
 from gossipvote.metrics import (
     convergence_tick,
     dissent_change_rate,
@@ -54,7 +54,7 @@ def test_a01_dominant_value_matches_brute_force_oracle():
     for _ in range(cases):
         values = tuple(rng.randint(0, 9) for _ in range(rng.randint(1, 25)))
         own = rng.choice((None, rng.randint(0, 9)))
-        got = dominant_value(VoteSet(values, own=own))
+        got = integrate(values, own, "dominant")
         want = mode_oracle(values, own)
         assert got == want, f"values={values} own={own}: got {got}, oracle {want}"
     _report(f"dominant-value oracle: {cases}/{cases} matched", perf_counter() - t0, 5.0)
@@ -65,7 +65,7 @@ def test_a02_consensus_matches_exhaustive_cost_scan():
     checked = 0
     for size in range(1, 6):
         for values in itertools.combinations_with_replacement(range(5), size):
-            got = consensus_value(VoteSet(values), k=4)
+            got = integrate(values, None, "consensus")
             want = median_cost_oracle(values, 4)
             assert got == want, f"values={values}: got {got}, oracle {want}"
             checked += 1
@@ -75,7 +75,7 @@ def test_a02_consensus_matches_exhaustive_cost_scan():
 def _vote_count_arms() -> dict[int, tuple[dict[str, list[float]], str]]:
     """Per arm (v=3, v=20): three rates of its 30 seeded runs and a convergence summary.
 
-    Both arms of a seed step in lockstep on one draw sequence.
+    Both arms of a seed step together on one draw sequence.
     """
     arms = {v: ({"dissent": [], "live": [], "steady": []}, []) for v in (3, 20)}
     for s in range(30):
@@ -150,7 +150,7 @@ def _mean_gap_after_burn_in(v: int, f: int, friend_prob: float, seed: int) -> fl
         strategy="dominant", max_ticks=200, seed=seed,
     )
     state = init(config)
-    traj = run_state(state)
+    traj = run_states([state])[0]
     last = traj.n_ticks
     return mean(observe(traj, state.graph).gaps(50 if last > 50 else last, last + 1))
 
@@ -255,7 +255,7 @@ def test_a07_bundled_fixture_mae_and_report_checks():
     for day in data.days:
         values = tuple(p for _, p in data.predictions_for(day))
         assert out[day] == mode_oracle(values, own=None), f"day {day}"
-    report = evaluate_variant(data, variant_by_name("basic-dominant"), seed=0)
+    (report,) = evaluate(data, [variant_by_name("basic-dominant")], seed=0)
     assert report.per_source_mae["bias_0"] == 0.0
     source_mean = mean(report.per_source_mae.values())
     synthetic = compare_report(source_mean, report.per_source_mae)

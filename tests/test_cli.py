@@ -342,15 +342,30 @@ class TestEntryPoints:
         assert (out_dir / "summary.json").exists()
 
     def test_no_arguments_shows_usage(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([])
-        assert excinfo.value.code == 2
-        assert "usage" in capsys.readouterr().err
+        assert main([]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: the following arguments are required: command\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--scenario", "s", "--out", "o", "--workers", "abc"],
+         "argument --workers: invalid int value: 'abc'"),
+        (["simulate", "--scenario", "s"], "the following arguments are required: --out"),
+        (["forecast", "p.csv"], "the following arguments are required: actuals"),
+        (["tally"], "argument command: invalid choice: 'tally'"),
+        (["sweep", "--scenario", "s", "--grid", "v=3", "--out", "o", "--extra"],
+         "unrecognized arguments: --extra"),
+    ])
+    def test_usage_errors_are_one_error_line_and_exit_1(self, argv, message, capsys):
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, message)
 
     @pytest.mark.parametrize("argv, stdout_part", [
         (["forecast", str(DATA_DIR / "synthetic_predictions.csv"),
           str(DATA_DIR / "synthetic_actuals.csv")], "dominant-mixed"),
         (["--help"], "usage: gossipvote"),
+        (["simulate", "--help"], "usage: gossipvote simulate"),
     ])
     def test_forecast_and_help_never_load_numpy(self, argv, stdout_part):
         proc = subprocess.run(
@@ -389,7 +404,7 @@ class TestPackageExports:
 
         assert observe is defined_observe
         assert simulate_scenario is defined_simulate
-        assert len(gossipvote.__all__) == len(set(gossipvote.__all__)) == 42
+        assert len(gossipvote.__all__) == len(set(gossipvote.__all__)) == 36
         assert gossipvote.__all__ == sorted(gossipvote.__all__)
         namespace: dict = {}
         exec("from gossipvote import *", namespace)

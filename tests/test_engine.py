@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import snapshots
 
+from gossipvote import engine
 from gossipvote.engine import (
     SimState,
     Trajectory,
@@ -18,9 +19,6 @@ from gossipvote.engine import (
     draw_sends,
     init,
     init_group,
-    lockstep,
-    run,
-    run_state,
     run_states,
     step,
 )
@@ -169,30 +167,31 @@ class TestStep:
 class TestRun:
     def test_same_seed_identical_trajectories(self):
         config = SimConfig(n=60, k=2, v=3, f=4, friend_prob=0.3, max_ticks=80, seed=123)
-        a, b = run(config), run(config)
+        a, b = run_states([init(config)])[0], run_states([init(config)])[0]
         assert a.initial == b.initial
         assert a.events == b.events
 
     def test_unanimous_start_terminates_immediately(self):
-        traj = run(SimConfig(n=10, k=0, max_ticks=50, seed=5))
+        traj = run_states([init(SimConfig(n=10, k=0, max_ticks=50, seed=5))])[0]
         assert traj.n_ticks == 0
         assert traj.initial == (0,) * 10
 
     def test_snapshot_count_bounded_by_horizon(self):
-        traj = run(SimConfig(n=20, k=1, v=2, max_ticks=30, seed=8))
+        traj = run_states([init(SimConfig(n=20, k=1, v=2, max_ticks=30, seed=8))])[0]
         assert traj.n_ticks <= 30
         assert len(snapshots(traj)) == traj.n_ticks + 1
 
     def test_dominant_keeps_values_from_vote_sets(self):
         # strategy=dominant can only adopt values that exist somewhere
-        traj = run(SimConfig(n=40, k=4, v=3, max_ticks=60, seed=11))
+        traj = run_states([init(SimConfig(n=40, k=4, v=3, max_ticks=60, seed=11))])[0]
         snaps = snapshots(traj)
         seen = set(snaps[0].tolist())
         for snap in snaps[1:]:
             assert set(snap.tolist()) <= seen
 
     def test_winning_count_trends_upward_on_the_baseline_config(self):
-        traj = run(SimConfig(n=500, k=1, v=3, f=0, activation_prob=0.5, max_ticks=300, seed=2))
+        config = SimConfig(n=500, k=1, v=3, f=0, activation_prob=0.5, max_ticks=300, seed=2)
+        traj = run_states([init(config)])[0]
         first = np.bincount(snapshots(traj)[0], minlength=2).max()
         last = np.bincount(snapshots(traj)[-1], minlength=2).max()
         assert last > first
@@ -202,13 +201,13 @@ class TestRun:
         # 20-vote inboxes fill ~7x slower than 3-vote inboxes
         lo_rates, hi_rates = [], []
         for seed in range(10):
-            lo = run(SimConfig(n=100, k=1, v=3, f=0, activation_prob=0.5, max_ticks=60, seed=seed))
-            hi = run(
-                SimConfig(
-                    n=100, k=1, v=20, f=10, friend_prob=0.2,
-                    activation_prob=0.5, max_ticks=60, seed=seed,
-                )
-            )
+            lo = run_states([init(SimConfig(
+                n=100, k=1, v=3, f=0, activation_prob=0.5, max_ticks=60, seed=seed,
+            ))])[0]
+            hi = run_states([init(SimConfig(
+                n=100, k=1, v=20, f=10, friend_prob=0.2,
+                activation_prob=0.5, max_ticks=60, seed=seed,
+            ))])[0]
             lo_rates.append(sum(e.integrations for e in lo.events) / max(lo.n_ticks, 1))
             hi_rates.append(sum(e.integrations for e in hi.events) / max(hi.n_ticks, 1))
         assert np.mean(lo_rates) > 3 * np.mean(hi_rates)
@@ -240,9 +239,9 @@ class TestRun:
 class TestRunState:
     def test_run_state_continues_an_existing_state(self):
         config = SimConfig(n=30, k=1, v=2, max_ticks=20, seed=9)
-        whole = run(config)
+        whole = run_states([init(config)])[0]
         state = init(config)
-        again = run_state(state)
+        again = run_states([state])[0]
         assert (snapshots(whole)[-1] == snapshots(again)[-1]).all()
         assert state.values == snapshots(whole)[-1].tolist()
 
@@ -305,7 +304,7 @@ class TestLockstep:
             states[absorber] = _unanimous(states[absorber])
             lone[absorber] = _unanimous(lone[absorber])
         for index, traj in enumerate(run_states(states)):
-            _assert_same_run(traj, states[index], run_state(lone[index]), lone[index])
+            _assert_same_run(traj, states[index], run_states([lone[index]])[0], lone[index])
 
     # seeds found by scanning: the v=1 lead absorbs at tick 21 while the other member
     # steps to the horizon; the lead steps to the horizon while the other absorbs at
@@ -320,14 +319,29 @@ class TestLockstep:
         assert (trajs[0].n_ticks, trajs[1].n_ticks) == ticks
         for config, state, traj in zip(configs, states, trajs):
             alone = init(config)
-            _assert_same_run(traj, state, run_state(alone), alone)
+            _assert_same_run(traj, state, run_states([alone])[0], alone)
 
-    def test_each_tick_steps_every_live_member_with_one_draw(self):
+    def test_each_tick_steps_every_live_member_with_one_draw(self, monkeypatch):
         base = SimConfig(n=30, k=2, f=3, friend_prob=0.5, max_ticks=10, seed=4)
-        states = init_group([base, dataclasses.replace(base, v=7, include_self=False)])
-        stepped = list(lockstep(states, 10))
-        assert [[index for index, _ in tick] for tick in stepped] == [[0, 1]] * 10
-        assert all(a.sent == b.sent for (_, a), (_, b) in stepped)
+        configs = [base, dataclasses.replace(base, v=7, include_self=False)]
+        lone = []
+        for config in configs:
+            alone = init(config)
+            lone.append([step(alone) for _ in range(10)])
+        states = init_group(configs)
+        drawn_from = []
+
+        def counted_draw_sends(state):
+            drawn_from.append(state.rng)
+            return draw_sends(state)
+
+        monkeypatch.setattr(engine, "draw_sends", counted_draw_sends)
+        trajs = run_states(states)
+        assert len(drawn_from) == 10  # one draw per tick for the whole group
+        assert all(rng is drawn_from[0] for rng in drawn_from)
+        assert all(drawn_from[0] is not state.rng for state in states)  # a private copy
+        assert [traj.events for traj in trajs] == lone  # every member stepped every tick
+        assert all(a.sent == b.sent for a, b in zip(*lone))
 
     @pytest.mark.parametrize("lead, follower", [
         (dict(strategy="mixed"), dict(strategy="mixed", v=4)),  # mixed never shares
@@ -416,7 +430,7 @@ def _is_settled(state: SimState) -> bool:
 
 
 def _full_run(state: SimState, ticks: int) -> list:
-    """run_state's events, every tick on the full path, stopping where it stops."""
+    """A lone run's events, every tick on the full path, stopping where it stops."""
     events = []
     for _ in range(ticks):
         if _is_settled(state) and not any(state.inboxes):
@@ -492,20 +506,24 @@ class TestSettled:
         configs = [dataclasses.replace(base, v=1, include_self=False),
                    dataclasses.replace(base, v=5, strategy="consensus")]
         states = init_group(configs)
-        settled_at: list[int | None] = [None, None]
-        recorded: list[list] = [[], []]
-        for tick, stepped in enumerate(lockstep(states, 40), start=1):
-            for index, events in stepped:
-                recorded[index].append(events)
-                if states[index].settled and settled_at[index] is None:
-                    settled_at[index] = tick
+        trajs = run_states(states)
+        settled_at: list[int | None] = []
+        for config, state, traj in zip(configs, states, trajs):
+            alone, full = init(config), init(config)
+            events, settled = [], None
+            for tick in range(1, config.max_ticks + 1):
+                if alone.is_absorbing():
+                    break
+                events.append(step(alone))
+                if alone.settled and settled is None:
+                    settled = tick
+            settled_at.append(settled)
+            assert traj.events == events == _full_run(full, config.max_ticks)
+            assert (state.values, state.inboxes) == (alone.values, alone.inboxes)
+            assert (full.values, full.inboxes) == (alone.values, alone.inboxes)
+            assert state.rng.getstate() == alone.rng.getstate() == full.rng.getstate()
         assert tuple(settled_at) == settles
-        assert tuple(len(events) for events in recorded) == ticks
-        for config, state, events in zip(configs, states, recorded):
-            alone = init(config)
-            assert _full_run(alone, config.max_ticks) == events
-            assert (alone.values, alone.inboxes) == (state.values, state.inboxes)
-            assert alone.rng.getstate() == state.rng.getstate()
+        assert tuple(traj.n_ticks for traj in trajs) == ticks
 
     @given(case=draw_group_cases())
     @settings(max_examples=80, deadline=None)

@@ -20,7 +20,6 @@ from gossipvote.forecast import (
     compare_cell,
     compare_report,
     evaluate,
-    evaluate_variant,
     load_dataset,
     mae,
     render_table,
@@ -285,7 +284,6 @@ class TestSharedDays:
         assert evaluate(data, VARIANTS[::-1], seed) == rows[::-1]
         for spec, row in zip(VARIANTS, rows):
             assert evaluate(data, [spec], seed) == [row]
-            assert evaluate_variant(data, spec, seed) == row
             assert mae(run_variant(data, spec, seed), data.actuals) == row.system_mae
 
     def test_one_graph_per_day_and_distinct_friend_count(self, monkeypatch):
@@ -427,11 +425,11 @@ class TestEvaluate:
     def test_evaluate_variant_is_deterministic(self):
         data = _random_dataset(random.Random(17), days=10, sources=5)
         spec = variant_by_name("dominant-mixed")
-        assert evaluate_variant(data, spec, seed=9) == evaluate_variant(data, spec, seed=9)
+        assert evaluate(data, [spec], seed=9) == evaluate(data, [spec], seed=9)
 
     def test_report_fields_are_consistent(self):
         data = _random_dataset(random.Random(23), days=10, sources=5)
-        report = evaluate_variant(data, variant_by_name("basic-dominant"), seed=0)
+        (report,) = evaluate(data, [variant_by_name("basic-dominant")], seed=0)
         assert report.system_mae >= 0.0
         assert set(report.per_source_mae) == set(data.sources)
         best = min(report.per_source_mae.values())

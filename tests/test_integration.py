@@ -7,109 +7,86 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipvote.integration import (
-    VoteSet,
-    consensus_value,
-    dominant_value,
-    integrate,
-    integrate_inboxes,
-    mixed_integrate,
-)
+from gossipvote.integration import integrate, integrate_inboxes
 from oracles import median_cost_oracle, mode_oracle
 
 multisets = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=25)
 
 
-class TestVoteSet:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            VoteSet(())
-
-    def test_own_is_optional(self):
-        assert VoteSet((1, 2)).own is None
-
-
 class TestDominantValue:
     def test_unique_mode(self):
-        assert dominant_value(VoteSet((1, 1, 0), own=0)) == 1
+        assert integrate((1, 1, 0), 0, "dominant") == 1
 
     def test_tie_keeps_own(self):
-        assert dominant_value(VoteSet((0, 1), own=1)) == 1
+        assert integrate((0, 1), 1, "dominant") == 1
 
     def test_tie_without_own_takes_smallest(self):
         # modes are {2, 3}; own=5 is not among them
-        assert dominant_value(VoteSet((2, 2, 3, 3, 5), own=5)) == 2
+        assert integrate((2, 2, 3, 3, 5), 5, "dominant") == 2
 
     def test_no_own_preference_when_own_is_none(self):
-        assert dominant_value(VoteSet((0, 1))) == 0
+        assert integrate((0, 1), None, "dominant") == 0
 
     @given(values=multisets, data=st.data())
     def test_matches_brute_force_oracle(self, values, data):
         own = data.draw(st.one_of(st.none(), st.sampled_from(values)))
-        assert dominant_value(VoteSet(tuple(values), own=own)) == mode_oracle(values, own)
+        assert integrate(values, own, "dominant") == mode_oracle(values, own)
 
     @given(values=multisets)
     def test_result_is_in_the_multiset(self, values):
-        assert dominant_value(VoteSet(tuple(values), own=values[0])) in values
+        assert integrate(values, values[0], "dominant") in values
 
     @given(values=multisets, seed=st.integers(min_value=0, max_value=999))
     def test_permutation_invariance(self, values, seed):
         shuffled = values[:]
         random.Random(seed).shuffle(shuffled)
-        assert dominant_value(VoteSet(tuple(values), own=values[0])) == dominant_value(
-            VoteSet(tuple(shuffled), own=values[0])
+        assert integrate(values, values[0], "dominant") == integrate(
+            shuffled, values[0], "dominant"
         )
 
 
 class TestConsensusValue:
     def test_majority_median(self):
-        assert consensus_value(VoteSet((0, 1, 1)), k=1) == 1
+        assert integrate((0, 1, 1), None, "consensus") == 1
 
     def test_lower_median_on_even_size(self):
-        assert consensus_value(VoteSet((0, 1)), k=1) == 0
+        assert integrate((0, 1), None, "consensus") == 0
 
     def test_interior_minimizer_interval(self):
         # minimizers of sum|x-c| are {3..7}; the smallest is returned
-        assert consensus_value(VoteSet((1, 3, 7, 9)), k=10) == 3
-
-    def test_rejects_out_of_domain_votes(self):
-        with pytest.raises(ValueError, match="domain"):
-            consensus_value(VoteSet((0, 5)), k=4)
+        assert integrate((1, 3, 7, 9), None, "consensus") == 3
 
     def test_exhaustive_against_cost_oracle(self):
         # every multiset of size <= 5 over 0..4
         for size in range(1, 6):
             for combo in itertools.combinations_with_replacement(range(5), size):
-                assert consensus_value(VoteSet(combo), k=4) == median_cost_oracle(
+                assert integrate(combo, None, "consensus") == median_cost_oracle(
                     list(combo), 4
                 ), combo
 
     @given(values=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=25))
     def test_matches_cost_oracle_on_larger_domain(self, values):
-        assert consensus_value(VoteSet(tuple(values)), k=9) == median_cost_oracle(values, 9)
+        assert integrate(values, None, "consensus") == median_cost_oracle(values, 9)
 
     @given(values=multisets, seed=st.integers(min_value=0, max_value=999))
     def test_permutation_invariance(self, values, seed):
         shuffled = values[:]
         random.Random(seed).shuffle(shuffled)
-        assert consensus_value(VoteSet(tuple(values)), k=9) == consensus_value(
-            VoteSet(tuple(shuffled)), k=9
-        )
+        assert integrate(values, None, "consensus") == integrate(shuffled, None, "consensus")
 
 
 class TestMixedIntegrate:
     def test_probability_zero_is_dominant(self):
-        votes = VoteSet((1, 3, 7, 9), own=9)
-        assert mixed_integrate(votes, 10, 0.0, random.Random(4)) == dominant_value(votes)
+        votes = (1, 3, 7, 9)
+        assert integrate(votes, 9, "mixed", 0.0, random.Random(4)) == integrate(
+            votes, 9, "dominant")
 
     def test_probability_one_is_consensus(self):
-        votes = VoteSet((1, 3, 7, 9))
-        assert mixed_integrate(votes, 10, 1.0, random.Random(4)) == 3
+        assert integrate((1, 3, 7, 9), None, "mixed", 1.0, random.Random(4)) == 3
 
     def test_agreeing_operators_make_the_coin_irrelevant(self):
-        votes = VoteSet((0, 0, 1, 1, 1), own=0)
         for seed in range(20):
-            assert mixed_integrate(votes, 1, 0.5, random.Random(seed)) == 1
+            assert integrate((0, 0, 1, 1, 1), 0, "mixed", 0.5, random.Random(seed)) == 1
 
     @given(
         values=multisets,
@@ -118,9 +95,8 @@ class TestMixedIntegrate:
     )
     @settings(max_examples=60)
     def test_consumes_exactly_one_draw(self, values, seed, prob):
-        votes = VoteSet(tuple(values), own=values[0])
         rng = random.Random(seed)
-        mixed_integrate(votes, 9, prob, rng)
+        integrate(values, values[0], "mixed", prob, rng)
         reference = random.Random(seed)
         reference.random()
         assert rng.random() == reference.random()
@@ -128,15 +104,11 @@ class TestMixedIntegrate:
     @given(values=multisets, seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=60)
     def test_degeneracy_pointwise_for_any_seed(self, values, seed):
-        votes = VoteSet(tuple(values), own=values[0])
-        assert mixed_integrate(votes, 9, 0.0, random.Random(seed)) == dominant_value(votes)
-        assert mixed_integrate(votes, 9, 1.0, random.Random(seed)) == consensus_value(
-            votes, 9
-        )
-
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError, match="consensus_prob"):
-            mixed_integrate(VoteSet((1,)), 1, 1.5, random.Random(0))
+        own = values[0]
+        assert integrate(values, own, "mixed", 0.0, random.Random(seed)) == integrate(
+            values, own, "dominant")
+        assert integrate(values, own, "mixed", 1.0, random.Random(seed)) == integrate(
+            values, own, "consensus")
 
 
 def one_at_a_time(values, inboxes, agents, v, include_self, strategy, prob, rng):

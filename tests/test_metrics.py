@@ -16,7 +16,7 @@ from oracles import (
     trajectory_metrics,
 )
 
-from gossipvote.engine import NO_CHANGES, Trajectory, init, run, run_state
+from gossipvote.engine import NO_CHANGES, Trajectory, init, run_states
 from gossipvote.metrics import (
     convergence_tick,
     dissent_change_rate,
@@ -98,7 +98,7 @@ class TestTickMetrics:
     def test_change_rate_bounded_by_integration_rate_on_a_real_run(self):
         config = SimConfig(n=80, k=1, v=3, max_ticks=50, seed=21)
         state = init(config)
-        traj = run_state(state)
+        traj = run_states([state])[0]
         snaps = snapshots(traj)
         prev = snaps[0]
         for snap, events in zip(snaps[1:], traj.events):
@@ -114,7 +114,7 @@ class TestSteadyChangeRate:
         assert steady_change_rate(traj, burn_in=1) == pytest.approx(0.25)
 
     def test_unanimous_start_scores_zero(self):
-        traj = run(SimConfig(n=10, k=0, max_ticks=40, seed=1))
+        traj = run_states([init(SimConfig(n=10, k=0, max_ticks=40, seed=1))])[0]
         assert steady_change_rate(traj, burn_in=10) == 0.0
 
     def test_absorbed_before_burn_in_scores_zero(self):
@@ -126,7 +126,7 @@ class TestSteadyChangeRate:
             config = SimConfig(
                 n=4, k=1, v=1, include_self=False, activation_prob=1.0, max_ticks=100, seed=seed
             )
-            traj = run(config)
+            traj = run_states([init(config)])[0]
             if traj.n_ticks < 60:
                 absorbed = traj
                 break
@@ -135,7 +135,7 @@ class TestSteadyChangeRate:
 
     @pytest.mark.parametrize("burn_in", [-1, 100, 500])
     def test_rejects_out_of_range_burn_in(self, burn_in):
-        traj = run(SimConfig(n=5, k=1, max_ticks=100, seed=2))
+        traj = run_states([init(SimConfig(n=5, k=1, max_ticks=100, seed=2))])[0]
         with pytest.raises(ValueError, match="burn_in"):
             steady_change_rate(traj, burn_in)
 
@@ -154,7 +154,7 @@ class TestClusteringGap:
         assert clustering_gap(traj, graph, 0) == 0.0
 
     def test_rejects_out_of_range_tick(self):
-        traj = run(SimConfig(n=5, k=1, max_ticks=10, seed=3))
+        traj = run_states([init(SimConfig(n=5, k=1, max_ticks=10, seed=3))])[0]
         with pytest.raises(IndexError, match="tick"):
             clustering_gap(traj, FriendGraph([[] for _ in range(5)]), traj.n_ticks + 1)
 
@@ -162,7 +162,7 @@ class TestClusteringGap:
 class TestTrajectoryHelpers:
     def test_trajectory_metrics_covers_every_snapshot(self):
         state = init(SimConfig(n=30, k=1, v=2, max_ticks=25, seed=4))
-        traj = run_state(state)
+        traj = run_states([state])[0]
         per_tick = trajectory_metrics(traj, state.graph)
         assert len(per_tick) == traj.n_ticks + 1
         assert per_tick[0].change_rate == 0.0
@@ -181,7 +181,7 @@ class TestTrajectoryHelpers:
 
     def test_winning_count_constant_after_convergence(self):
         state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
-        traj = run_state(state)
+        traj = run_states([state])[0]
         tick = convergence_tick(observe(traj, state.graph))
         assert tick is not None  # this config reliably reaches unanimity
         for snap in snapshots(traj)[tick:]:
@@ -211,6 +211,15 @@ class TestRatesOverTheObservation:
         assert live_change_rate(self.observation(), burn_in=0) == 2 / 8
         assert live_change_rate(self.observation(), burn_in=1) == 1 / 4
         assert live_change_rate(self.observation(), burn_in=2) == 0.0
+
+    def test_dissent_change_rate_rejects_a_negative_burn_in(self):
+        # a negative burn_in would slice from the end, not skip a burn-in
+        with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
+            dissent_change_rate(self.observation(), burn_in=-1)
+
+    def test_live_change_rate_rejects_a_negative_burn_in(self):
+        with pytest.raises(ValueError, match="burn_in must be >= 0, got -3"):
+            live_change_rate(self.observation(), burn_in=-3)
 
     def test_gaps_match_clustering_gap_and_reject_ticks_outside_the_run(self):
         config = SimConfig(n=4, k=1, max_ticks=3, seed=0)
@@ -268,7 +277,7 @@ SHAPES = {
 def assert_observation_matches_tick_metrics(config: SimConfig):
     """observe() equals the numpy oracle's tick_metrics at every tick, floats bit for bit."""
     state = init(config)
-    traj = run_state(state)
+    traj = run_states([state])[0]
     obs = observe(traj, state.graph)
     src, dst = edge_arrays(state.graph)
     snaps = snapshots(traj)
@@ -310,7 +319,7 @@ class TestObserve:
 
     def test_unchanged_ticks_share_one_empty_change_record(self):
         state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
-        traj = run_state(state)
+        traj = run_states([state])[0]
         unchanged = [e.changes is NO_CHANGES for e in traj.events]
         assert unchanged == [e.changed == 0 for e in traj.events]
         assert any(unchanged) and not all(unchanged)
@@ -327,7 +336,7 @@ class TestObserve:
 
     def test_shared_ticks_share_one_histogram(self):
         state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
-        traj = run_state(state)
+        traj = run_states([state])[0]
         obs = observe(traj, state.graph)
         for t in range(1, traj.n_ticks + 1):
             same = not traj.events[t - 1].changes

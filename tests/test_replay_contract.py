@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from gossipvote.cli import main
-from gossipvote.engine import init, run, step
+from gossipvote.engine import init, run_states, step
 from gossipvote.model import SimConfig
 from gossipvote.scenario import Scenario, simulate_scenario, sweep_scenario
 
@@ -72,7 +72,7 @@ def case_digest(name: str, out_dir: Path) -> str:
     simulate_scenario(Scenario(sim=config, replications=2, burn_in=5), str(out_dir))
     digest = hashlib.sha256(_digest_files(out_dir).encode())
     for seed in (config.seed, config.seed + 1):
-        traj = run(SimConfig(**{**BASE, **CASES[name], "seed": seed}))
+        traj = run_states([init(SimConfig(**{**BASE, **CASES[name], "seed": seed}))])[0]
         for e in traj.events:
             digest.update(f"{e.sent},{e.delivered},{e.integrations},{e.changed};".encode())
     return digest.hexdigest()

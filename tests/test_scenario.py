@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import snapshots, trajectory_from_snapshots, trajectory_metrics
 
-from gossipvote.engine import init, run_state
+from gossipvote.engine import init, run_states
 from gossipvote.metrics import observe
 from gossipvote import output as output_module
 from gossipvote import scenario as scenario_module
@@ -119,7 +119,7 @@ class TestScenarioConfig:
 class TestCsvRendering:
     def test_trajectory_csv_shape(self):
         state = init(SimConfig(n=10, k=2, v=2, max_ticks=5, seed=3))
-        traj = run_state(state)
+        traj = run_states([state])[0]
         text = trajectory_csv(observe(traj, state.graph))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["tick", "value", "count"]
@@ -134,7 +134,7 @@ class TestCsvRendering:
     def test_metrics_csv_shape(self):
         config = SimConfig(n=10, k=1, v=2, f=2, friend_prob=0.5, max_ticks=5, seed=3)
         state = init(config)
-        traj = run_state(state)
+        traj = run_states([state])[0]
         text = metrics_csv(observe(traj, state.graph))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == [
@@ -151,7 +151,7 @@ class TestCsvRendering:
         """A trajectory rebuilt from one array per tick writes what the run writes."""
         config = SimConfig(n=60, k=1, v=3, f=4, friend_prob=0.4, max_ticks=300, seed=14)
         state = init(config)
-        traj = run_state(state)
+        traj = run_states([state])[0]
         rebuilt = trajectory_from_snapshots([s.tolist() for s in snapshots(traj)], config)
         assert rebuilt.events != traj.events  # only the change records survive the trip
         assert [e.changes for e in rebuilt.events] == [e.changes for e in traj.events]
@@ -164,7 +164,7 @@ class TestCsvRendering:
         """The CSVs equal the numpy oracle's, rendered from int64 snapshots; the
         state's own snapshot stays uint8 up to k=255."""
         state = init(SimConfig(n=30, k=k, v=2, f=3, friend_prob=0.4, max_ticks=25, seed=5))
-        traj = run_state(state)
+        traj = run_states([state])[0]
         assert state.snapshot().dtype == np.uint8
         assert state.snapshot().tolist() == snapshots(traj)[-1].tolist()
         reference = trajectory_metrics(traj, state.graph)
@@ -217,7 +217,7 @@ class TestWriteAtomic:
             simulate_scenario(scenario, str(tmp_path))
         assert [p.name for p in tmp_path.iterdir()] == ["trajectory_rep000.csv"]
         state = init(scenario.replication_config(0))
-        expected = trajectory_csv(observe(run_state(state), state.graph))
+        expected = trajectory_csv(observe(run_states([state])[0], state.graph))
         assert (tmp_path / "trajectory_rep000.csv").read_bytes() == expected.encode()
 
 

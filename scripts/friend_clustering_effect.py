@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import statistics
 
-from gossipvote import SimConfig, init, observe, run_states
+from gossipvote import ConfigError, SimConfig, init, observe, run_states
 
 
 def mean_gap(friend_prob: float, seed: int, args: argparse.Namespace) -> float:
@@ -40,16 +40,26 @@ def main() -> int:
     parser.add_argument("--first-tick", type=int, default=50)
     parser.add_argument("--last-tick", type=int, default=200)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    if args.last_tick < 1:
+        parser.error(f"--last-tick must be >= 1, got {args.last_tick}")
+    if not 0 <= args.first_tick <= args.last_tick:
+        parser.error(f"--first-tick must satisfy 0 <= first-tick <= last-tick={args.last_tick}, "
+                     f"got {args.first_tick}")
 
     preferential, uniform = [], []
     positive = 0
-    for s in range(args.seeds):
-        seed = args.base_seed + s
-        gap_pref = mean_gap(args.friend_prob, seed, args)
-        gap_flat = mean_gap(0.0, seed, args)
-        preferential.append(gap_pref)
-        uniform.append(gap_flat)
-        positive += gap_pref > 0
+    try:
+        for s in range(args.seeds):
+            seed = args.base_seed + s
+            gap_pref = mean_gap(args.friend_prob, seed, args)
+            gap_flat = mean_gap(0.0, seed, args)
+            preferential.append(gap_pref)
+            uniform.append(gap_flat)
+            positive += gap_pref > 0
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     print(
         f"friend_prob={args.friend_prob}: mean clustering gap "

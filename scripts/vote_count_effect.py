@@ -16,6 +16,7 @@ import argparse
 import statistics
 
 from gossipvote import (
+    ConfigError,
     SimConfig,
     convergence_tick,
     dissent_change_rate,
@@ -57,10 +58,20 @@ def main() -> int:
     parser.add_argument("--horizon", type=int, default=500)
     parser.add_argument("--burn-in", type=int, default=50)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
+    if args.horizon < 1:
+        parser.error(f"--horizon must be >= 1, got {args.horizon}")
+    if not 0 <= args.burn_in < args.horizon:
+        parser.error(f"--burn-in must satisfy 0 <= burn-in < horizon={args.horizon}, "
+                     f"got {args.burn_in}")
 
     seeds = range(args.base_seed, args.base_seed + args.seeds)
-    low, high = zip(*(arms((args.v_low, args.v_high), seed, args.horizon, args.burn_in)
-                      for seed in seeds))
+    try:
+        low, high = zip(*(arms((args.v_low, args.v_high), seed, args.horizon, args.burn_in)
+                          for seed in seeds))
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     def describe(v: int, runs: tuple[tuple[tuple[float, ...], int | None], ...]) -> None:
         rates, convs = zip(*runs)

@@ -11,16 +11,15 @@ _EXPORTS = {
     "forecast": (
         "VARIANTS", "Comparison", "DatasetError", "EvalReport", "ForecastDataset",
         "GossipParams", "VariantSpec", "compare_cell", "compare_report", "evaluate",
-        "load_dataset", "mae", "run_variant",
+        "load_dataset", "mae",
     ),
     "metrics": (
         "Observation", "convergence_tick", "dissent_change_rate", "live_change_rate",
         "observe", "steady_change_rate",
     ),
-    "model": ("ConfigError", "FriendGraph", "KnowledgeValue", "SimConfig", "make_friend_graph"),
+    "model": ("ConfigError", "FriendGraph", "SimConfig", "make_friend_graph"),
     "scenario": (
-        "Scenario", "load_scenario", "parse_grid", "save_scenario", "simulate_scenario",
-        "sweep_scenario",
+        "Scenario", "load_scenario", "parse_grid", "simulate_scenario", "sweep_scenario",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .integration import integrate_inboxes
-from .model import FriendGraph, KnowledgeValue, SimConfig, make_friend_graph
+from .model import FriendGraph, SimConfig, make_friend_graph
 
 if TYPE_CHECKING:
     import numpy as np
@@ -77,8 +77,8 @@ class SimState:
     """
 
     config: SimConfig
-    values: list[KnowledgeValue]
-    inboxes: list[list[KnowledgeValue]]
+    values: list[int]
+    inboxes: list[list[int]]
     graph: FriendGraph
     rng: random.Random
     settled: bool = dataclasses.field(init=False)
@@ -103,7 +103,7 @@ class SimState:
         return self.settled and not any(self.inboxes)
 
 
-def _settled(values: list[KnowledgeValue], inboxes: list[list[KnowledgeValue]]) -> bool:
+def _settled(values: list[int], inboxes: list[list[int]]) -> bool:
     """Every value and every queued vote equal; the inboxes are read only at unanimity."""
     w = values[0]
     if values.count(w) != len(values):
@@ -126,13 +126,9 @@ class Trajectory:
     cost little (see step).
     """
 
-    initial: tuple[KnowledgeValue, ...]
+    initial: tuple[int, ...]
     events: list[TickEvents]
     config: SimConfig
-
-    @property
-    def n_ticks(self) -> int:
-        return len(self.events)
 
 
 def draw_graph(config: SimConfig) -> tuple[FriendGraph, random.Random]:
@@ -158,7 +154,7 @@ def rng_at(rng_state: tuple) -> random.Random:
 
 def init(
     config: SimConfig,
-    values: list[KnowledgeValue] | None = None,
+    values: list[int] | None = None,
     drawn: tuple[FriendGraph, random.Random] | None = None,
 ) -> SimState:
     """Fresh state from a config: friend graph first, then uniform initial values.
@@ -173,13 +169,13 @@ def init(
         values = [rng.randint(0, config.k) for _ in range(config.n)]
     elif len(values) != config.n or not all(0 <= value <= config.k for value in values):
         raise ValueError(f"need {config.n} initial values in 0..{config.k}")
-    inboxes: list[list[KnowledgeValue]] = [[] for _ in range(config.n)]
+    inboxes: list[list[int]] = [[] for _ in range(config.n)]
     return SimState(config=config, values=list(values), inboxes=inboxes, graph=graph, rng=rng)
 
 
 def init_group(
     configs: Sequence[SimConfig],
-    values: list[KnowledgeValue] | None = None,
+    values: list[int] | None = None,
     drawn: tuple[FriendGraph, random.Random] | None = None,
 ) -> list[SimState]:
     """Fresh states for one draw group (see draw_key), ready for run_states.

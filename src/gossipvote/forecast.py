@@ -105,7 +105,7 @@ def load_dataset(predictions_path: str, actuals_path: str) -> ForecastDataset:
 
 def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, list[str]]]:
     """Each non-blank row after the header, with the physical line it ends on."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -189,13 +189,6 @@ def variant_by_name(name: str) -> VariantSpec:
     raise KeyError(
         f"unknown variant {name!r}; known: {', '.join(s.name for s in VARIANTS)}"
     )
-
-
-def run_variant(
-    data: ForecastDataset, spec: VariantSpec, seed: int = 0
-) -> dict[str, int]:
-    """One integrated prediction per day for a variant. Pure in (data, spec, seed)."""
-    return _run_days(data, [spec], seed)[0]
 
 
 def _run_days(

@@ -12,13 +12,11 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .model import KnowledgeValue
 
-
-def integrate_inboxes(values: list[KnowledgeValue], inboxes: list[list[KnowledgeValue]],
+def integrate_inboxes(values: list[int], inboxes: list[list[int]],
                       agents: Sequence[int], v: int, include_self: bool, strategy: str,
                       consensus_prob: float = 0.0, rng: random.Random | None = None,
-                      ) -> list[KnowledgeValue]:
+                      ) -> list[int]:
     """Integrate each listed agent's full inbox, in the order given; the operator is chosen once.
 
     Each listed inbox holds at least v votes. An agent votes over the first v
@@ -40,7 +38,7 @@ def integrate_inboxes(values: list[KnowledgeValue], inboxes: list[list[Knowledge
     median = (size - 1) // 2
     consensus = strategy == "consensus"
     coin = rng.random if strategy == "mixed" else None
-    changes: list[KnowledgeValue] = []
+    changes: list[int] = []
     for agent in agents:
         votes = inboxes[agent]
         own = values[agent]
@@ -65,8 +63,8 @@ def integrate_inboxes(values: list[KnowledgeValue], inboxes: list[list[Knowledge
     return changes
 
 
-def integrate(votes: Sequence[KnowledgeValue], own: KnowledgeValue | None, strategy: str,
-              consensus_prob: float = 0.0, rng: random.Random | None = None) -> KnowledgeValue:
+def integrate(votes: Sequence[int], own: int | None, strategy: str,
+              consensus_prob: float = 0.0, rng: random.Random | None = None) -> int:
     """Apply one strategy to a non-empty sequence of in-domain votes (see integrate_inboxes).
 
     The votes are the whole vote set, own included when it counts; own=None

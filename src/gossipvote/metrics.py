@@ -32,7 +32,6 @@ class Observation:
     histograms: list[tuple[int, ...]]
     winning_count: list[int]
     changed: list[int]  # agents whose value differs from the tick before; 0 at tick 0
-    change_rate: list[float]
     friend_agreement: list[float]  # fraction of directed friend edges with equal values
     random_agreement: list[float]  # agreement of two uniform (with-replacement) picks
 
@@ -107,7 +106,7 @@ def observe(traj: Trajectory, graph: FriendGraph) -> Observation:
         return tuple(counts), max(counts), agree / edges if edges else 1.0, chance
 
     histogram, winning, friend, chance = row()
-    histograms, winning_count, changed, change_rate = [histogram], [winning], [0], [0.0]
+    histograms, winning_count, changed = [histogram], [winning], [0]
     friend_agreement, random_agreement = [friend], [chance]
     for event in traj.events:
         changes = event.changes
@@ -127,11 +126,9 @@ def observe(traj: Trajectory, graph: FriendGraph) -> Observation:
         histograms.append(histogram)
         winning_count.append(winning)
         changed.append(moved)
-        change_rate.append(moved / n)
         friend_agreement.append(friend)
         random_agreement.append(chance)
-    return Observation(n=n, histograms=histograms, winning_count=winning_count,
-                       changed=changed, change_rate=change_rate,
+    return Observation(n=n, histograms=histograms, winning_count=winning_count, changed=changed,
                        friend_agreement=friend_agreement, random_agreement=random_agreement)
 
 

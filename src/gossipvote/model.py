@@ -8,9 +8,6 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-# Knowledge values are plain ints in [0, k]; no wrapper type.
-KnowledgeValue = int
-
 STRATEGIES = ("dominant", "consensus", "mixed")
 
 

@@ -97,7 +97,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -105,10 +105,6 @@ def load_scenario(path: str) -> Scenario:
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
     return scenario_from_dict(raw)
-
-
-def save_scenario(scenario: Scenario, path: str) -> None:
-    write_atomic(path, json_text(scenario_to_dict(scenario)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +132,8 @@ def metrics_csv(obs: Observation) -> str:
     """Per-tick observer metrics; tick 0 has change_rate 0 by construction."""
     return _csv_text(
         ("tick", "winning_count", "change_rate", "friend_agreement", "random_agreement"),
-        zip(range(len(obs.winning_count)), obs.winning_count, obs.change_rate,
-            obs.friend_agreement, obs.random_agreement),
+        zip(range(len(obs.winning_count)), obs.winning_count,
+            (moved / obs.n for moved in obs.changed), obs.friend_agreement, obs.random_agreement),
     )
 
 
@@ -164,7 +160,7 @@ def _run_replication(args: tuple[Scenario, int]) -> ReplicationOutput:
         "steady_change_rate": steady_change_rate(traj, scenario.effective_burn_in()),
         "convergence_tick": convergence_tick(obs),
         "final_winning_count": obs.winning_count[-1],
-        "ticks": traj.n_ticks,
+        "ticks": len(traj.events),
     }
     return ReplicationOutput(
         index=index,

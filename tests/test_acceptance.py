@@ -21,10 +21,10 @@ from oracles import median_cost_oracle, mode_oracle
 
 from gossipvote.engine import init, init_group, run_states, step
 from gossipvote.forecast import (
+    _run_days,
     compare_report,
     evaluate,
     load_dataset,
-    run_variant,
     variant_by_name,
 )
 from gossipvote.integration import integrate
@@ -151,7 +151,7 @@ def _mean_gap_after_burn_in(v: int, f: int, friend_prob: float, seed: int) -> fl
     )
     state = init(config)
     traj = run_states([state])[0]
-    last = traj.n_ticks
+    last = len(traj.events)
     return mean(observe(traj, state.graph).gaps(50 if last > 50 else last, last + 1))
 
 
@@ -251,7 +251,7 @@ def test_a07_bundled_fixture_mae_and_report_checks():
     )
     assert len(data.days) == 60
     assert sorted(data.sources) == ["bias_0", "bias_m1", "bias_m2", "bias_p1", "bias_p2"]
-    out = run_variant(data, variant_by_name("basic-dominant"), seed=0)
+    out = _run_days(data, [variant_by_name("basic-dominant")], 0)[0]
     for day in data.days:
         values = tuple(p for _, p in data.predictions_for(day))
         assert out[day] == mode_oracle(values, own=None), f"day {day}"
@@ -298,11 +298,11 @@ def test_a08_zero_gossip_variants_collapse_to_direct_aggregation():
     for index in range(20):
         data = _random_dataset(random.Random(800 + index))
         seed = index
-        assert run_variant(data, _without_gossip("dominant-decentralized"), seed=seed) == (
-            run_variant(data, variant_by_name("basic-dominant"), seed=seed)
+        assert _run_days(data, [_without_gossip("dominant-decentralized")], seed)[0] == (
+            _run_days(data, [variant_by_name("basic-dominant")], seed)[0]
         )
-        assert run_variant(data, _without_gossip("decentralized-consensus"), seed=seed) == (
-            run_variant(data, variant_by_name("centralized-consensus"), seed=seed)
+        assert _run_days(data, [_without_gossip("decentralized-consensus")], seed)[0] == (
+            _run_days(data, [variant_by_name("centralized-consensus")], seed)[0]
         )
         checked += len(data.days)
     _report(

@@ -14,7 +14,8 @@ import pytest
 from gossipvote.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from gossipvote.forecast import load_dataset
 from gossipvote.model import SimConfig
-from gossipvote.scenario import Scenario, load_scenario, save_scenario
+from gossipvote.output import json_text, write_atomic
+from gossipvote.scenario import Scenario, load_scenario, scenario_to_dict
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -60,7 +61,7 @@ def small_scenario_file(tmp_path, **sim_overrides) -> Path:
     sim_kwargs.update(sim_overrides)
     scenario = Scenario(sim=SimConfig(**sim_kwargs), replications=2, label="cli")
     path = tmp_path / "small.scenario"
-    save_scenario(scenario, path)
+    write_atomic(path, json_text(scenario_to_dict(scenario)))
     return path
 
 
@@ -394,6 +395,52 @@ class TestEntryPoints:
         pooled = workers > 1 and len(os.sched_getaffinity(0)) > 1
         assert proc.stdout.splitlines()[-1] == f"pool loaded: {pooled}"
 
+    def test_utf8_inputs_give_the_same_bytes_under_an_ascii_locale(self, tmp_path):
+        scenario = Scenario(sim=SimConfig(n=10, k=1, v=2, f=2, friend_prob=0.25, max_ticks=20),
+                            label="Gruppe für Abstimmung")
+        scenario_path = tmp_path / "u.scenario"
+        # raw UTF-8, not the \u escapes json_text writes
+        scenario_path.write_bytes(json.dumps(scenario_to_dict(scenario), ensure_ascii=False)
+                                  .encode("utf-8"))
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_bytes("day,source,prediction\nd1,Météo,3\nd1,b,4\nd2,Météo,5\n"
+                                "d2,b,5\n".encode("utf-8"))
+        actuals = tmp_path / "actuals.csv"
+        actuals.write_bytes(b"day,actual\nd1,3\nd2,5\n")
+        locales = {
+            "utf8": ({"LC_ALL": "C.UTF-8"}, "utf8=1"),
+            "ascii": ({"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}, "utf8=0"),
+        }
+        # each run's working directory is its output directory, so src goes on the path absolute
+        path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        outputs = {}
+        for name, (env, mode) in locales.items():
+            out = tmp_path / name
+            out.mkdir()
+            stdout = b""
+            # relative output paths, so that both runs print the same lines
+            for argv in (["simulate", "--scenario", str(scenario_path), "--out", "sim"],
+                         ["forecast", str(predictions), str(actuals), "--out", "fc"]):
+                proc = subprocess.run([sys.executable, "-X", mode, "-m", "gossipvote", *argv],
+                                      capture_output=True, timeout=120, cwd=out,
+                                      env={**os.environ, **env, "PYTHONPATH": path})
+                assert proc.returncode == EXIT_OK, proc.stderr
+                stdout += proc.stdout
+            outputs[name] = stdout, {str(p.relative_to(out)): p.read_bytes()
+                                     for p in sorted(out.rglob("*")) if p.is_file()}
+        assert len(outputs["utf8"][1]) == 5
+        assert outputs["ascii"] == outputs["utf8"]
+
+
+PUBLIC_NAMES = [
+    "Comparison", "ConfigError", "DatasetError", "EvalReport", "ForecastDataset", "FriendGraph",
+    "GossipParams", "Observation", "Scenario", "SimConfig", "SimState", "TickEvents", "Trajectory",
+    "VARIANTS", "VariantSpec", "compare_cell", "compare_report", "convergence_tick",
+    "dissent_change_rate", "evaluate", "init", "live_change_rate", "load_dataset",
+    "load_scenario", "mae", "make_friend_graph", "observe", "parse_grid", "run_states",
+    "simulate_scenario", "steady_change_rate", "step", "sweep_scenario",
+]
+
 
 class TestPackageExports:
     def test_names_resolve_on_first_use(self):
@@ -404,8 +451,7 @@ class TestPackageExports:
 
         assert observe is defined_observe
         assert simulate_scenario is defined_simulate
-        assert len(gossipvote.__all__) == len(set(gossipvote.__all__)) == 36
-        assert gossipvote.__all__ == sorted(gossipvote.__all__)
+        assert gossipvote.__all__ == PUBLIC_NAMES
         namespace: dict = {}
         exec("from gossipvote import *", namespace)
         assert set(gossipvote.__all__) <= set(namespace)
@@ -419,3 +465,10 @@ class TestPackageExports:
             gossipvote.no_such_name
         with pytest.raises(ImportError):
             exec("from gossipvote import no_such_name", {})
+
+    @pytest.mark.parametrize("name", ["KnowledgeValue", "run_variant", "save_scenario"])
+    def test_removed_names_are_attribute_errors(self, name):
+        import gossipvote
+
+        with pytest.raises(AttributeError, match=name):
+            getattr(gossipvote, name)

@@ -173,13 +173,13 @@ class TestRun:
 
     def test_unanimous_start_terminates_immediately(self):
         traj = run_states([init(SimConfig(n=10, k=0, max_ticks=50, seed=5))])[0]
-        assert traj.n_ticks == 0
+        assert len(traj.events) == 0
         assert traj.initial == (0,) * 10
 
     def test_snapshot_count_bounded_by_horizon(self):
         traj = run_states([init(SimConfig(n=20, k=1, v=2, max_ticks=30, seed=8))])[0]
-        assert traj.n_ticks <= 30
-        assert len(snapshots(traj)) == traj.n_ticks + 1
+        assert len(traj.events) <= 30
+        assert len(snapshots(traj)) == len(traj.events) + 1
 
     def test_dominant_keeps_values_from_vote_sets(self):
         # strategy=dominant can only adopt values that exist somewhere
@@ -208,8 +208,8 @@ class TestRun:
                 n=100, k=1, v=20, f=10, friend_prob=0.2,
                 activation_prob=0.5, max_ticks=60, seed=seed,
             ))])[0]
-            lo_rates.append(sum(e.integrations for e in lo.events) / max(lo.n_ticks, 1))
-            hi_rates.append(sum(e.integrations for e in hi.events) / max(hi.n_ticks, 1))
+            lo_rates.append(sum(e.integrations for e in lo.events) / max(len(lo.events), 1))
+            hi_rates.append(sum(e.integrations for e in hi.events) / max(len(hi.events), 1))
         assert np.mean(lo_rates) > 3 * np.mean(hi_rates)
 
     def test_absorbing_state_never_changes_again(self):
@@ -316,7 +316,7 @@ class TestLockstep:
                    dataclasses.replace(base, v=3, strategy="consensus")]
         states = init_group(configs)
         trajs = run_states(states)
-        assert (trajs[0].n_ticks, trajs[1].n_ticks) == ticks
+        assert (len(trajs[0].events), len(trajs[1].events)) == ticks
         for config, state, traj in zip(configs, states, trajs):
             alone = init(config)
             _assert_same_run(traj, state, run_states([alone])[0], alone)
@@ -523,7 +523,7 @@ class TestSettled:
             assert (full.values, full.inboxes) == (alone.values, alone.inboxes)
             assert state.rng.getstate() == alone.rng.getstate() == full.rng.getstate()
         assert tuple(settled_at) == settles
-        assert tuple(traj.n_ticks for traj in trajs) == ticks
+        assert tuple(len(traj.events) for traj in trajs) == ticks
 
     @given(case=draw_group_cases())
     @settings(max_examples=80, deadline=None)

@@ -17,6 +17,7 @@ from gossipvote.forecast import (
     ForecastDataset,
     GossipParams,
     VariantSpec,
+    _run_days,
     compare_cell,
     compare_report,
     evaluate,
@@ -24,7 +25,6 @@ from gossipvote.forecast import (
     mae,
     render_table,
     report_payload,
-    run_variant,
     variant_by_name,
 )
 from gossipvote.integration import integrate
@@ -119,19 +119,19 @@ class TestLoadDataset:
 class TestRunVariant:
     def test_basic_dominant_is_the_day_mode(self):
         data = tiny_dataset(a={"d1": 3}, b={"d1": 3}, c={"d1": 5})
-        out = run_variant(data, variant_by_name("basic-dominant"))
+        out = _run_days(data, [variant_by_name("basic-dominant")], 0)[0]
         assert out == {"d1": 3}
 
     def test_centralized_consensus_is_the_day_median(self):
         data = tiny_dataset(a={"d1": 1}, b={"d1": 3}, c={"d1": 9})
-        out = run_variant(data, variant_by_name("centralized-consensus"))
+        out = _run_days(data, [variant_by_name("centralized-consensus")], 0)[0]
         assert out == {"d1": 3}
 
     def test_dropout_day_uses_remaining_sources(self):
         data = tiny_dataset(
             a={"d1": 2, "d2": 7}, b={"d1": 2}, c={"d1": 4, "d2": 7}
         )
-        out = run_variant(data, variant_by_name("basic-dominant"))
+        out = _run_days(data, [variant_by_name("basic-dominant")], 0)[0]
         assert out["d2"] == 7  # b is absent on d2; a and c agree
 
     def test_day_with_no_predictions_is_an_error(self):
@@ -139,33 +139,33 @@ class TestRunVariant:
             days=("d1", "d2"), sources={"a": {"d1": 1}}, actuals={"d1": 0, "d2": 0}
         )
         with pytest.raises(DatasetError, match="d2"):
-            run_variant(data, variant_by_name("basic-dominant"))
+            _run_days(data, [variant_by_name("basic-dominant")], 0)[0]
 
     def test_single_source_day_passes_through(self):
         data = tiny_dataset(a={"d1": -7})
         for spec in VARIANTS:
-            assert run_variant(data, spec) == {"d1": -7}
+            assert _run_days(data, [spec], 0)[0] == {"d1": -7}
 
     def test_equal_predictions_day_passes_through(self):
         data = tiny_dataset(a={"d1": 4}, b={"d1": 4}, c={"d1": 4})
         for spec in VARIANTS:
-            assert run_variant(data, spec) == {"d1": 4}
+            assert _run_days(data, [spec], 0)[0] == {"d1": 4}
 
     def test_negative_predictions_are_handled_via_shifting(self):
         data = tiny_dataset(a={"d1": -5}, b={"d1": -3}, c={"d1": -3})
-        assert run_variant(data, variant_by_name("basic-dominant")) == {"d1": -3}
-        assert run_variant(data, variant_by_name("centralized-consensus")) == {"d1": -3}
+        assert _run_days(data, [variant_by_name("basic-dominant")], 0)[0] == {"d1": -3}
+        assert _run_days(data, [variant_by_name("centralized-consensus")], 0)[0] == {"d1": -3}
 
     def test_deterministic_in_seed(self):
         data = _random_dataset(random.Random(5), days=8, sources=6)
         spec = variant_by_name("dominant-decentralized")
-        assert run_variant(data, spec, seed=3) == run_variant(data, spec, seed=3)
+        assert _run_days(data, [spec], 3)[0] == _run_days(data, [spec], 3)[0]
 
     def test_gossip_output_stays_in_day_span(self):
         rng = random.Random(9)
         data = _random_dataset(rng, days=10, sources=8)
         for name in ("dominant-decentralized", "decentralized-consensus-friends", "dominant-mixed"):
-            out = run_variant(data, variant_by_name(name), seed=1)
+            out = _run_days(data, [variant_by_name(name)], 1)[0]
             for day, value in out.items():
                 values = [p for _, p in data.predictions_for(day)]
                 assert min(values) <= value <= max(values)
@@ -189,8 +189,8 @@ class TestRunVariant:
             data, sources={s: d for s, d in data.sources.items() if s != victim}
         )
         spec = variant_by_name("dominant-decentralized")
-        full_out = run_variant(data, spec, seed=4)
-        partial_out = run_variant(without, spec, seed=4)
+        full_out = _run_days(data, [spec], 4)[0]
+        partial_out = _run_days(without, [spec], 4)[0]
         for day in uncovered:
             assert full_out[day] == partial_out[day]
 
@@ -275,7 +275,7 @@ class TestSharedDays:
         sizes = {len(data.predictions_for(day)) for day in data.days}
         assert {1, 2, F + 1} <= sizes and len(sizes) > 3
         for spec in VARIANTS:
-            assert run_variant(data, spec, seed) == _unshared_run_variant(data, spec, seed)
+            assert _run_days(data, [spec], seed)[0] == _unshared_run_variant(data, spec, seed)
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_a_variant_row_does_not_depend_on_the_other_variants(self, seed):
@@ -284,7 +284,7 @@ class TestSharedDays:
         assert evaluate(data, VARIANTS[::-1], seed) == rows[::-1]
         for spec, row in zip(VARIANTS, rows):
             assert evaluate(data, [spec], seed) == [row]
-            assert mae(run_variant(data, spec, seed), data.actuals) == row.system_mae
+            assert mae(_run_days(data, [spec], seed)[0], data.actuals) == row.system_mae
 
     def test_one_graph_per_day_and_distinct_friend_count(self, monkeypatch):
         data = _dataset_with_day_sizes(7)
@@ -401,12 +401,12 @@ class TestZeroGossipEquivalence:
                 variant_by_name("decentralized-consensus").gossip, gossip_ticks=0
             ),
         )
-        assert run_variant(data, dom, seed=2) == run_variant(
-            data, variant_by_name("basic-dominant"), seed=2
-        )
-        assert run_variant(data, cons, seed=2) == run_variant(
-            data, variant_by_name("centralized-consensus"), seed=2
-        )
+        assert _run_days(data, [dom], 2)[0] == _run_days(
+            data, [variant_by_name("basic-dominant")], 2
+        )[0]
+        assert _run_days(data, [cons], 2)[0] == _run_days(
+            data, [variant_by_name("centralized-consensus")], 2
+        )[0]
 
 
 class TestEvaluate:

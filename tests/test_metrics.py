@@ -127,7 +127,7 @@ class TestSteadyChangeRate:
                 n=4, k=1, v=1, include_self=False, activation_prob=1.0, max_ticks=100, seed=seed
             )
             traj = run_states([init(config)])[0]
-            if traj.n_ticks < 60:
+            if len(traj.events) < 60:
                 absorbed = traj
                 break
         assert absorbed is not None
@@ -156,7 +156,7 @@ class TestClusteringGap:
     def test_rejects_out_of_range_tick(self):
         traj = run_states([init(SimConfig(n=5, k=1, max_ticks=10, seed=3))])[0]
         with pytest.raises(IndexError, match="tick"):
-            clustering_gap(traj, FriendGraph([[] for _ in range(5)]), traj.n_ticks + 1)
+            clustering_gap(traj, FriendGraph([[] for _ in range(5)]), len(traj.events) + 1)
 
 
 class TestTrajectoryHelpers:
@@ -164,7 +164,7 @@ class TestTrajectoryHelpers:
         state = init(SimConfig(n=30, k=1, v=2, max_ticks=25, seed=4))
         traj = run_states([state])[0]
         per_tick = trajectory_metrics(traj, state.graph)
-        assert len(per_tick) == traj.n_ticks + 1
+        assert len(per_tick) == len(traj.events) + 1
         assert per_tick[0].change_rate == 0.0
 
     def test_convergence_tick_finds_first_unanimous_snapshot(self):
@@ -287,7 +287,7 @@ def assert_observation_matches_tick_metrics(config: SimConfig):
         ref = tick_metrics(prev, snap, state.graph, config.k)
         assert list(obs.histograms[tick]) == ref.histogram.tolist()
         assert obs.winning_count[tick] == ref.winning_count
-        assert obs.change_rate[tick] == ref.change_rate
+        assert obs.changed[tick] / obs.n == ref.change_rate
         assert obs.friend_agreement[tick] == ref.friend_agreement
         assert obs.random_agreement[tick] == ref.random_agreement
         assert obs.changed[tick] == (traj.events[tick - 1].changed if tick else 0)
@@ -300,7 +300,7 @@ def assert_observation_matches_tick_metrics(config: SimConfig):
     for tick, tm in enumerate(trajectory_metrics(traj, state.graph)):
         assert tm.histogram.tolist() == list(obs.histograms[tick])
         assert (tm.winning_count, tm.change_rate, tm.friend_agreement, tm.random_agreement) == (
-            obs.winning_count[tick], obs.change_rate[tick], obs.friend_agreement[tick],
+            obs.winning_count[tick], obs.changed[tick] / obs.n, obs.friend_agreement[tick],
             obs.random_agreement[tick])
         assert tm.unanimous == (tm.winning_count == config.n)
     return obs
@@ -338,11 +338,11 @@ class TestObserve:
         state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
         traj = run_states([state])[0]
         obs = observe(traj, state.graph)
-        for t in range(1, traj.n_ticks + 1):
+        for t in range(1, len(traj.events) + 1):
             same = not traj.events[t - 1].changes
             assert (obs.histograms[t] is obs.histograms[t - 1]) == same
             if same:
-                assert obs.change_rate[t] == 0.0 and obs.changed[t] == 0
+                assert obs.changed[t] / obs.n == 0.0 and obs.changed[t] == 0
         assert isinstance(obs.histograms[0], tuple)
 
     def test_rejects_snapshots_outside_the_domain(self):

@@ -27,14 +27,13 @@ from gossipvote.scenario import (
     load_scenario,
     metrics_csv,
     parse_grid,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
     simulate_scenario,
     sweep_scenario,
     trajectory_csv,
 )
-from gossipvote.output import write_atomic
+from gossipvote.output import json_text, write_atomic
 
 
 def small_scenario(**overrides) -> Scenario:
@@ -52,7 +51,7 @@ class TestScenarioConfig:
     def test_round_trip_via_file(self, tmp_path):
         scenario = small_scenario(burn_in=5)
         path = tmp_path / "per_test.scenario"
-        save_scenario(scenario, path)
+        write_atomic(path, json_text(scenario_to_dict(scenario)))
         assert load_scenario(path) == scenario
 
     def test_unknown_top_level_key(self):
@@ -124,7 +123,7 @@ class TestCsvRendering:
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["tick", "value", "count"]
         body = rows[1:]
-        assert len(body) == traj.n_ticks * 3 + 3  # (k+1) values per snapshot
+        assert len(body) == len(traj.events) * 3 + 3  # (k+1) values per snapshot
         by_tick: dict[int, int] = {}
         for tick, value, count in body:
             assert 0 <= int(value) <= 2
@@ -140,7 +139,7 @@ class TestCsvRendering:
         assert rows[0] == [
             "tick", "winning_count", "change_rate", "friend_agreement", "random_agreement",
         ]
-        assert len(rows) == 1 + traj.n_ticks + 1
+        assert len(rows) == 1 + len(traj.events) + 1
         for row in rows[1:]:
             assert 1 <= int(row[1]) <= 10
             for cell in row[2:]:

@@ -13,16 +13,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS_DIR = REPO_ROOT / "scripts"
 
 
-def run_script(name: str, *args: str) -> str:
+def start_script(name: str, *args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(SCRIPTS_DIR / name), *args], capture_output=True, text=True,
         timeout=120, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_script(name: str, *args: str) -> str:
+    proc = start_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -51,6 +57,23 @@ def test_friend_clustering_effect_prints_its_figures():
     ]
 
 
+@pytest.mark.parametrize("name, args, message", [
+    ("vote_count_effect.py", ["--burn-in", "30", "--horizon", "20"], "--burn-in must satisfy"),
+    ("vote_count_effect.py", ["--burn-in", "-5"], "--burn-in must satisfy"),
+    ("vote_count_effect.py", ["--seeds", "0"], "--seeds must be >= 1"),
+    ("vote_count_effect.py", ["--horizon", "0"], "--horizon must be >= 1"),
+    ("friend_clustering_effect.py", ["--first-tick", "30", "--last-tick", "10"],
+     "--first-tick must satisfy"),
+    ("friend_clustering_effect.py", ["--last-tick", "0"], "--last-tick must be >= 1"),
+    ("friend_clustering_effect.py", ["--seeds", "0"], "--seeds must be >= 1"),
+])
+def test_bad_script_arguments_are_usage_errors(name, args, message):
+    proc = start_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith(f"{name}: error: {message}"), proc.stderr
+
+
 def test_make_synthetic_fixture_rebuilds_the_bundled_data(tmp_path):
     run_script("make_synthetic_fixture.py", "--out-dir", str(tmp_path))
     for name in ("synthetic_actuals.csv", "synthetic_predictions.csv"):
@@ -58,7 +81,7 @@ def test_make_synthetic_fixture_rebuilds_the_bundled_data(tmp_path):
 
 
 def test_readme_quick_start_runs():
-    readme = (REPO_ROOT / "README.md").read_text()
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     quick_start = readme[readme.index("## Quick start"):]
     code = re.search(r"```python\n(.*?)```", quick_start, re.DOTALL).group(1)
     printed = io.StringIO()

@@ -17,19 +17,22 @@ simultaneous swap), never the freshly integrated ones.
 
 RNG contract: per agent in id order, an activation coin; if activated, a
 friend coin (only when friend_prob > 0) and one pick drawn exactly as
-random.Random.randrange draws it; then one coin per mixed integration.
+random.Random.randrange draws it; then one coin per mixed integration. A
+settled state (below) draws nothing, so a run's draws end at the tick it
+settles.
 
 Apart from those mixed coins, no draw depends on values, v, include_self or
 the operator, so runs that differ only there (equal draw_key) draw the same
 friend graph, initial values and sends. init_group builds such a draw group
 and run_states, the one loop that steps runs, steps it: each tick's sends are
-drawn once and delivered to every member, which still takes its own step per
-tick with the TickEvents of a lone run.
+drawn once, while some member is unsettled, and delivered to every unsettled
+member, which still takes its own step per tick with the TickEvents of a lone
+run.
 
 A state is settled once every agent holds one value w and every queued vote
 is w: no operator can change a value from then on. step latches that after
-integration and steps a settled state by counting, with the draws, inbox
-contents and TickEvents of the full path.
+integration, and a settled step returns SETTLED at once, drawing, delivering
+and integrating nothing: its values, inboxes and RNG stay as they are.
 """
 
 from __future__ import annotations
@@ -64,6 +67,9 @@ class TickEvents:
     integrations: int
     changed: int
     changes: Sequence[int] = NO_CHANGES
+
+
+SETTLED = TickEvents(sent=0, delivered=0, integrations=0, changed=0)  # every settled tick's events
 
 
 @dataclass(slots=True)
@@ -120,10 +126,10 @@ class Trajectory:
 
     events[t-1] belongs to tick t, and the population after tick t is
     initial with the changes of ticks 1..t applied in order, so the record
-    grows with the changes, not with n per tick. Only an absorbing state
-    (settled, every inbox empty) ends a run before max_ticks; with messages
-    in flight a settled run practically never reaches one, but its ticks
-    cost little (see step).
+    grows with the changes, not with n per tick. A run ends before max_ticks
+    only at an absorbing state (settled, every inbox empty), which it reaches
+    at the start or at the tick it settles; otherwise its ticks after
+    settling all share SETTLED and cost no draws (see step).
     """
 
     initial: tuple[int, ...]
@@ -267,9 +273,11 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
 
     sends is draw_sends' result for this tick, drawn from this state or from
     another state of its draw group; None draws it from this state. A
-    settled state only queues its value and clears the inboxes that reach v,
-    drawing one mixed coin per integration as the full path does.
+    settled state returns SETTLED without reading sends or drawing: its
+    values, inboxes and RNG stay as they are.
     """
+    if state.settled:
+        return SETTLED
     if sends is None:
         sends = draw_sends(state)
     cfg = state.config
@@ -277,19 +285,6 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
     values, inboxes = state.values, state.inboxes
     sent = len(sends)
     full: list[int] = []  # agents whose inbox reached v during this tick
-
-    if state.settled:
-        w = values[0]
-        for _, target in sends:
-            inbox = inboxes[target]
-            inbox.append(w)
-            if len(inbox) == v:
-                full.append(target)
-        for agent in full:
-            inboxes[agent].clear()
-        if full and cfg.strategy == "mixed":
-            state.rng.getrandbits(64 * len(full))  # the two MT words of each random()
-        return TickEvents(sent=sent, delivered=sent, integrations=len(full), changed=0)
 
     # phase 2: values cannot change before phase 3, so senders' values are pre-integration
     for sender, target in sends:
@@ -317,10 +312,12 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
     A lone state draws from its own RNG, mixed coins included. Several states
     are one draw group: they must share a draw key (see draw_key), a friend
     graph and an RNG state, and each tick's sends are drawn once, from a
-    private copy of that RNG, and delivered to every member. A member stops
-    before the first tick at which it is absorbing (checked before each tick,
-    so an initially unanimous state takes no tick) and ends holding the
-    events, values and RNG state of its lone run.
+    private copy of that RNG, and delivered to every unsettled member. Sends
+    are drawn only while some member is unsettled. A member that settles
+    takes the RNG state of that tick, where its lone run stops drawing, and
+    stops there if it is absorbing (an initially absorbing state takes no
+    tick); otherwise it steps on to max_ticks, one SETTLED step per tick. So
+    each member ends holding the events, values and RNG state of its lone run.
     """
     lead = states[0]
     drawer = lead
@@ -335,25 +332,25 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
         drawer = dataclasses.replace(lead, rng=rng_at(rng_state))
     trajs = [Trajectory(initial=tuple(state.values), events=[], config=state.config)
              for state in states]
-    live = list(zip(states, trajs))
+    live = [pair for pair in zip(states, trajs) if not pair[0].is_absorbing()]
+    drawing = sum(not state.settled for state, _ in live)  # members whose steps read sends
     for _ in range(lead.config.max_ticks):
-        # plain loops, not comprehensions: this runs once per tick of every run
-        for state, _ in live:
-            if state.is_absorbing():
-                staying = []
-                for member, traj in live:
-                    if member.is_absorbing():
-                        member.rng.setstate(drawer.rng.getstate())  # its lone run stops here
-                    else:
-                        staying.append((member, traj))
-                live = staying
-                break
         if not live:
             break
-        sends = draw_sends(drawer)
+        sends = draw_sends(drawer) if drawing else None  # a settled step reads no sends
+        settling = False
+        # plain loops, not comprehensions: this runs once per tick of every run
         for state, traj in live:
-            traj.events.append(step(state, sends))
-    # a group member takes the drawer's RNG state; a lone state's RNG is the drawer's own
+            events = step(state, sends)
+            traj.events.append(events)
+            if events is not SETTLED and state.settled:  # it settled at this tick
+                drawing -= 1
+                settling = True
+                state.rng.setstate(drawer.rng.getstate())  # its lone run draws no more
+        if settling:
+            live = [pair for pair in live if not pair[0].is_absorbing()]
+    # an unsettled group member takes the drawer's end state; a lone state's RNG is the drawer's own
     for state, _ in live:
-        state.rng.setstate(drawer.rng.getstate())
+        if not state.settled:
+            state.rng.setstate(drawer.rng.getstate())
     return trajs

@@ -91,9 +91,9 @@ class SimConfig:
     include_self         whether the agent's own value joins its vote set
     symmetric_friends    generate a mutual (f-regular undirected) friend graph
     max_ticks            horizon; only an absorbing state (settled, every
-                         inbox empty) stops a run earlier, which with messages
-                         in flight practically never happens; settled ticks
-                         (every value and queued vote equal) step by counting
+                         inbox empty) stops a run earlier, at the start or at
+                         the tick it settles; a settled run (every value and
+                         queued vote equal) draws nothing from then on
     seed                 seed for the single run RNG
 
     A field of the wrong type (see check_field_types) raises ConfigError.

@@ -11,6 +11,7 @@ from oracles import snapshots
 
 from gossipvote import engine
 from gossipvote.engine import (
+    SETTLED,
     SimState,
     Trajectory,
     draw_graph,
@@ -116,8 +117,10 @@ class TestInit:
 
 class TestStep:
     def test_unanimous_two_agents_integrate_without_change(self):
+        # settled from the start, so step skips the tick; the full path integrates to no change
         state = two_agent_state(0, 0, v=1, include_self=False)
-        events = step(state)
+        assert step(state) is SETTLED
+        events = _full_step(state)
         assert state.values == [0, 0]
         assert events.integrations == 2
         assert events.changed == 0
@@ -134,10 +137,12 @@ class TestStep:
         state = init(config)
         before = state.values[0]
         rng_before = state.rng.getstate()
-        events = step(state)
+        # one agent is settled from the start, so step draws nothing
+        assert step(state) is SETTLED and state.rng.getstate() == rng_before
+        events = _full_step(state)
         assert state.values[0] == before
         assert events.sent == 0 and events.integrations == 0
-        # the activation coin was still drawn: the rng advanced exactly once
+        # on the full path the activation coin is still drawn: the rng advanced exactly once
         assert state.rng.getstate() != rng_before
 
     @given(config=small_configs())
@@ -307,9 +312,10 @@ class TestLockstep:
             _assert_same_run(traj, states[index], run_states([lone[index]])[0], lone[index])
 
     # seeds found by scanning: the v=1 lead absorbs at tick 21 while the other member
-    # steps to the horizon; the lead steps to the horizon while the other absorbs at
-    # tick 14; both absorb mid-run, the lead first
-    @pytest.mark.parametrize("seed, ticks", [(3, (21, 40)), (7, (40, 14)), (29, (5, 31))])
+    # steps to the horizon; the lead steps to the horizon while the other settles with
+    # votes queued (on the full path they drain and it absorbs at tick 14); the lead
+    # absorbs at tick 5 while the other settles with votes queued (full path: tick 31)
+    @pytest.mark.parametrize("seed, ticks", [(3, (21, 40)), (7, (40, 40)), (29, (5, 40))])
     def test_members_stop_at_their_own_absorption_and_the_rest_go_on(self, seed, ticks):
         base = SimConfig(n=4, k=1, f=0, activation_prob=0.9, max_ticks=40, seed=seed)
         configs = [dataclasses.replace(base, v=1, include_self=False),
@@ -320,6 +326,7 @@ class TestLockstep:
         for config, state, traj in zip(configs, states, trajs):
             alone = init(config)
             _assert_same_run(traj, state, run_states([alone])[0], alone)
+            _assert_on_the_full_path(traj, state, init(config))
 
     def test_each_tick_steps_every_live_member_with_one_draw(self, monkeypatch):
         base = SimConfig(n=30, k=2, f=3, friend_prob=0.5, max_ticks=10, seed=4)
@@ -329,14 +336,9 @@ class TestLockstep:
             alone = init(config)
             lone.append([step(alone) for _ in range(10)])
         states = init_group(configs)
-        drawn_from = []
-
-        def counted_draw_sends(state):
-            drawn_from.append(state.rng)
-            return draw_sends(state)
-
-        monkeypatch.setattr(engine, "draw_sends", counted_draw_sends)
+        drawn = _count_draws(monkeypatch)
         trajs = run_states(states)
+        drawn_from = [state.rng for state in drawn]
         assert len(drawn_from) == 10  # one draw per tick for the whole group
         assert all(rng is drawn_from[0] for rng in drawn_from)
         assert all(drawn_from[0] is not state.rng for state in states)  # a private copy
@@ -429,14 +431,44 @@ def _is_settled(state: SimState) -> bool:
             and all(vote == w for inbox in state.inboxes for vote in inbox))
 
 
-def _full_run(state: SimState, ticks: int) -> list:
-    """A lone run's events, every tick on the full path, stopping where it stops."""
-    events = []
-    for _ in range(ticks):
-        if _is_settled(state) and not any(state.inboxes):
-            break
-        events.append(_full_step(state))
-    return events
+def _count_draws(monkeypatch) -> list[SimState]:
+    """Route engine.draw_sends through a log of the states it draws from; returns the log."""
+    drawn: list[SimState] = []
+
+    def counted_draw_sends(state):
+        drawn.append(state)
+        return draw_sends(state)
+
+    monkeypatch.setattr(engine, "draw_sends", counted_draw_sends)
+    return drawn
+
+
+def _settle_tick(traj: Trajectory) -> int:
+    """The tick a run settled at: the number of ticks it drew (all, if it never settled)."""
+    return next((t for t, events in enumerate(traj.events) if events is SETTLED),
+                len(traj.events))
+
+
+def _assert_on_the_full_path(traj: Trajectory, state: SimState, start: SimState) -> None:
+    """A run's record traj and end state against start, a state equal to the run's
+    first one, stepped on the full path: the same events until the run settles and
+    SETTLED after it, while the full path changes no value; the same end values;
+    the full path's RNG state at the tick the run settled; and an early stop only
+    at an absorbing state."""
+    full = _copy(start)
+    settled_rng = full.rng.getstate() if _is_settled(full) else None
+    for events in traj.events:
+        if settled_rng is None:
+            assert events == _full_step(full)  # the change records included
+            if _is_settled(full):
+                settled_rng = full.rng.getstate()
+        else:
+            assert events is SETTLED
+            assert _full_step(full).changed == 0
+    assert state.values == full.values
+    assert state.rng.getstate() == (full.rng.getstate() if settled_rng is None else settled_rng)
+    if len(traj.events) < traj.config.max_ticks:
+        assert state.settled and not any(state.inboxes)
 
 
 @st.composite
@@ -471,23 +503,66 @@ class TestSettled:
         slow = _copy(fast)
         for _ in range(ticks):
             assert fast.settled == _is_settled(slow)
-            assert step(fast) == _full_step(slow)
-            assert (fast.values, fast.inboxes) == (slow.values, slow.inboxes)
-            assert fast.rng.getstate() == slow.rng.getstate()
+            if fast.settled:
+                inboxes, rng_state = [list(inbox) for inbox in fast.inboxes], fast.rng.getstate()
+                assert step(fast) is SETTLED
+                assert (fast.inboxes, fast.rng.getstate()) == (inboxes, rng_state)
+                assert _full_step(slow).changed == 0
+            else:
+                assert step(fast) == _full_step(slow)
+                assert (fast.inboxes, fast.rng.getstate()) == (slow.inboxes, slow.rng.getstate())
+            assert fast.values == slow.values
 
-    def test_a_settled_mixed_run_draws_one_coin_per_integration(self):
+    def test_a_settled_mixed_run_draws_no_coin(self):
         config = SimConfig(n=10, k=2, v=2, activation_prob=0.9, strategy="mixed",
                            mixed_consensus_prob=0.5, max_ticks=60, seed=0)
         fast = init(config)
         slow = _copy(fast)
         settled_integrations = 0
         for _ in range(60):
-            settled = fast.settled
-            events = step(fast)
-            assert events == _full_step(slow)
-            assert fast.rng.getstate() == slow.rng.getstate()
-            settled_integrations += settled * events.integrations
-        assert settled_integrations > 100  # settled at tick 5, integrating on to tick 60
+            if fast.settled:
+                rng_state = fast.rng.getstate()
+                assert step(fast) is SETTLED and fast.rng.getstate() == rng_state
+                events = _full_step(slow)
+                assert events.changed == 0
+                settled_integrations += events.integrations
+            else:
+                assert step(fast) == _full_step(slow)
+                assert fast.rng.getstate() == slow.rng.getstate()
+            assert fast.values == slow.values
+        assert settled_integrations > 100  # settled at tick 5; the full path integrates on
+
+    def test_a_settled_step_leaves_inboxes_and_rng_as_they_are(self):
+        config = SimConfig(n=6, k=2, v=3, f=2, friend_prob=0.5, activation_prob=1.0, seed=5)
+        state = dataclasses.replace(init(config), values=[1] * 6,
+                                    inboxes=[[1, 1], [], [1], [], [1, 1], []])
+        assert state.settled
+        sends = draw_sends(_copy(state))
+        inboxes, rng_state = [list(inbox) for inbox in state.inboxes], state.rng.getstate()
+        for given in (None, sends):
+            assert step(state, given) is SETTLED
+            assert state.inboxes == inboxes and state.rng.getstate() == rng_state
+            assert state.values == [1] * 6
+        assert SETTLED == engine.TickEvents(sent=0, delivered=0, integrations=0, changed=0)
+
+    def test_a_settled_lone_run_stops_drawing_but_records_every_tick(self, monkeypatch):
+        config = SimConfig(n=30, k=1, v=3, f=4, friend_prob=0.5, activation_prob=0.6,
+                           max_ticks=120, seed=2)
+        drawn = _count_draws(monkeypatch)
+        (traj,) = run_states([init(config)])
+        assert _settle_tick(traj) == len(drawn) == 28  # settled with votes queued
+        assert len(traj.events) == 120
+
+    def test_a_draw_group_stops_drawing_at_its_last_settle_tick(self, monkeypatch):
+        base = SimConfig(n=30, k=1, v=3, f=4, friend_prob=0.5, activation_prob=0.6,
+                         max_ticks=120, seed=5)
+        configs = [base, dataclasses.replace(base, v=5, strategy="consensus"),
+                   dataclasses.replace(base, v=2, include_self=False)]
+        drawn = _count_draws(monkeypatch)
+        trajs = run_states(init_group(configs))
+        assert [_settle_tick(traj) for traj in trajs] == [34, 70, 16]
+        assert len(drawn) == 70
+        assert [len(traj.events) for traj in trajs] == [120] * 3
 
     def test_init_latches_a_unanimous_start(self):
         assert init(SimConfig(n=5, k=2, seed=1), values=[2] * 5).settled
@@ -509,7 +584,7 @@ class TestSettled:
         trajs = run_states(states)
         settled_at: list[int | None] = []
         for config, state, traj in zip(configs, states, trajs):
-            alone, full = init(config), init(config)
+            alone = init(config)
             events, settled = [], None
             for tick in range(1, config.max_ticks + 1):
                 if alone.is_absorbing():
@@ -518,10 +593,10 @@ class TestSettled:
                 if alone.settled and settled is None:
                     settled = tick
             settled_at.append(settled)
-            assert traj.events == events == _full_run(full, config.max_ticks)
+            assert traj.events == events
             assert (state.values, state.inboxes) == (alone.values, alone.inboxes)
-            assert (full.values, full.inboxes) == (alone.values, alone.inboxes)
-            assert state.rng.getstate() == alone.rng.getstate() == full.rng.getstate()
+            assert state.rng.getstate() == alone.rng.getstate()
+            _assert_on_the_full_path(traj, state, init(config))
         assert tuple(settled_at) == settles
         assert tuple(len(traj.events) for traj in trajs) == ticks
 
@@ -535,6 +610,4 @@ class TestSettled:
             states[absorber] = _unanimous(states[absorber])
             lone[absorber] = _unanimous(lone[absorber])
         for traj, state, alone in zip(run_states(states), states, lone):
-            assert traj.events == _full_run(alone, alone.config.max_ticks)
-            assert (state.values, state.inboxes) == (alone.values, alone.inboxes)
-            assert state.rng.getstate() == alone.rng.getstate()
+            _assert_on_the_full_path(traj, state, alone)

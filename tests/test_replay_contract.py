@@ -1,8 +1,11 @@
 """The replay contract: equal seeds give byte-identical outputs across versions.
 
-Every digest below is the SHA-256 of the outputs of one small run, recorded
-with the per-agent-object engine that preceded the flat-list one. A change to
-the engine, the operators, the observer or the writers that alters a single
+Each simulate case has two digests. FILES hashes the output files of one
+small run; these bytes date back to the per-agent-object engine that
+preceded the flat-list one. EVENTS hashes every stepped tick's TickEvents
+counts; it was re-recorded when settled ticks stopped drawing and delivering
+(SETTLED), which changed those counts but no output byte. A change to the
+engine, the operators, the observer or the writers that alters a single
 random draw or output byte fails here; such a change must bump the RNG
 contract and re-record the digests on purpose. The last test checks that the
 engine's target picks draw exactly what random.Random.randrange draws.
@@ -44,16 +47,32 @@ CASES = {
     "baseline_n200": dict(n=200, k=1, v=3, f=20, friend_prob=0.4, activation_prob=0.5, max_ticks=120),
 }
 
+FILES = {
+    "baseline_n200": "9b433196a12b9c2b356e7df515efdc0211b9ef3a3d92cb6e08d8f4cf5dd673f9",
+    "consensus_f0_noself": "ca653ff92e316e357c52185c8bd17f771524be938d2c38ce0929100dd4f4aef2",
+    "consensus_friends_self": "112a726a8b331c1e7eee11159d632a5c5bc99deb81471e44732ce5947f06b2ad",
+    "dominant_f0_self": "710653fb3ed92d17484688857d52ef715345e2e7c62e99130ddb21d1959571a5",
+    "dominant_friends_noself": "5e5a1566ecb20294c74fd2e7283f8fb58b8787e2a2b0923bd3bacacab5d3ed2d",
+    "k0": "3b7549dbc99db23e498bde560645958664fb3ffaefa3a75ab2b28eb862ec6783",
+    "mixed_symmetric_noself": "ddb4e70e6669aa310e2e5291d815e1ec8d477caba24e8bf29ac6cc4a2f946272",
+    "mixed_symmetric_self": "895d129d891349ecc65721c9011932d77e5ee8f555e84e1d3797871fb6f2ccf1",
+    "solo": "d96a6ef2fcbe93d99bddf1d00c3ac6c1789dd408003f33e1c48281df1605cf6c",
+}
+
+# k0 and solo start unanimous and take no tick: the digest of no events
+EVENTS = {
+    "baseline_n200": "93a92e4269285b8ae16a8e20f052788d658095b73d89267fb669e2e692a2ccaa",
+    "consensus_f0_noself": "c221412c2d9da9c5f193c9acc6bc3a24f7a1558926f688f06c72c7d24efcdad2",
+    "consensus_friends_self": "ec773591dab0e116aedb360f2177120aa706d0ea87fe2cbb317f525f439e8760",
+    "dominant_f0_self": "09a665f8452b3fda0018a0d6952ecf85aa61c77354621ac6483711004dbc3718",
+    "dominant_friends_noself": "fcf42e8697fa1ed076d914e970f11cff4e008c7bed2fd7c74c89b671f8a4d505",
+    "k0": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "mixed_symmetric_noself": "15e661a630bd1113e0731b1b61adc7bec2364fc3e63d6ab521017765f4e5dc8d",
+    "mixed_symmetric_self": "eb44f7f1b6a0a2f30d9aba94507384108dc3417f450305520fa895e359cb959b",
+    "solo": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
 GOLDEN = {
-    "dominant_f0_self": "d0bc17f2cd7afcbc22273717e1d1660dd08921bd81eaaca0018b6608220e9cbb",
-    "dominant_friends_noself": "1fb1cd15b58e5f2503d2a6dddc4c7a1dfcb1d1ba1929218ac65fcce5117082e2",
-    "consensus_friends_self": "ff8a6612ebd7d7bf88475a8f51d9385a782e270ca9f2a160190b2057b19a10aa",
-    "consensus_f0_noself": "2cceb9102923951969c121607199a8a3529262056269a75b92df8dbe1efea275",
-    "mixed_symmetric_self": "657018bd5427988ef791e88150a91c44bba165ea945cf3771542219f581f9e0a",
-    "mixed_symmetric_noself": "5d5503aa8f3e3d9ffeea7941293bc9a22fbae3b4f6da080487458fb3e060a8e3",
-    "solo": "88de08db4881123b5880dd0736cba23ddd77931c63189af9c58eacb1c0539f1e",
-    "k0": "9d848ab8b00c7514181e6c5c08b2d1ae53ae2716fdd8310a74d87cf92b4eb303",
-    "baseline_n200": "3d7903376546656832b2230fa2d8f3ea83524d600eaeb5d7f115f54d5bc18248",
     "sweep": "03e1f0bb1c84c0c69054f1acc56bb110eceb42c612230976944093f39a31a0c9",
     "forecast": "c8076c0013bb2805b97a19facc6fe56f7c3bcd1142d0c7ebf23aac268d74a3f5",
 }
@@ -67,12 +86,18 @@ def _digest_files(directory: Path) -> str:
 
 
 def case_digest(name: str, out_dir: Path) -> str:
-    """SHA-256 of one case's output files plus every replication's tick events."""
+    """SHA-256 of one case's output files (two replications)."""
     config = SimConfig(**{**BASE, **CASES[name]})
     simulate_scenario(Scenario(sim=config, replications=2, burn_in=5), str(out_dir))
-    digest = hashlib.sha256(_digest_files(out_dir).encode())
-    for seed in (config.seed, config.seed + 1):
-        traj = run_states([init(SimConfig(**{**BASE, **CASES[name], "seed": seed}))])[0]
+    return _digest_files(out_dir)
+
+
+def events_digest(name: str) -> str:
+    """SHA-256 of the counts of every tick each of the case's two replications steps."""
+    fields = {**BASE, **CASES[name]}
+    digest = hashlib.sha256()
+    for seed in (fields["seed"], fields["seed"] + 1):
+        traj = run_states([init(SimConfig(**{**fields, "seed": seed}))])[0]
         for e in traj.events:
             digest.update(f"{e.sent},{e.delivered},{e.integrations},{e.changed};".encode())
     return digest.hexdigest()
@@ -97,7 +122,12 @@ def forecast_digest(out_dir: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_simulate_outputs_match_recorded_digest(name, tmp_path):
-    assert case_digest(name, tmp_path) == GOLDEN[name]
+    assert case_digest(name, tmp_path) == FILES[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stepped_events_match_recorded_digest(name):
+    assert events_digest(name) == EVENTS[name]
 
 
 def test_sweep_csv_matches_recorded_digest(tmp_path):

@@ -38,13 +38,15 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scenario's replications")
     sim.add_argument("--scenario", required=True, help="path to a .scenario JSON file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--workers", type=int, default=1, help="parallel replications")
+    sim.add_argument("--workers", type=int, default=1,
+                     help="processes that run replications, this one included")
 
     swp = sub.add_parser("sweep", help="run a scenario over a parameter grid")
     swp.add_argument("--scenario", required=True, help="path to a .scenario JSON file")
     swp.add_argument("--grid", required=True, help='parameter grid, e.g. "v=3,20;f=0,20"')
     swp.add_argument("--out", required=True, help="output directory")
-    swp.add_argument("--workers", type=int, default=1, help="parallel runs")
+    swp.add_argument("--workers", type=int, default=1,
+                     help="processes that run grid cells, this one included")
 
     fct = sub.add_parser("forecast", help="replay an ensemble dataset through the variants")
     fct.add_argument("predictions", help="CSV with columns day,source,prediction")

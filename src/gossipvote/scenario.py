@@ -175,15 +175,101 @@ _R = TypeVar("_R")
 
 
 def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[_R]:
+    """fn over jobs in `workers` processes, this one included; results in job order.
+
+    workers - 1 helper processes take jobs from the front and this process
+    takes them from the back, until none is left. A job that fails, or a
+    helper that dies, stops every process from taking another; once the
+    helpers have ended, the job's exception is re-raised. No helper outlives
+    the call.
+    """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(jobs), _usable_cpus())
     if workers <= 1:
         return [fn(job) for job in jobs]
-    from concurrent.futures import ProcessPoolExecutor  # ~30 ms of import a lone worker skips
+    import multiprocessing  # ~25 ms of import a lone worker skips
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))  # map preserves job order
+    # the default start method (fork on Linux before Python 3.14) lets a helper
+    # inherit this process's imports; this process starts no thread of its own
+    bounds = multiprocessing.Array("q", [0, len(jobs)])  # jobs[front:back] are not taken yet
+    helpers = []
+    results: dict[int, _R] = {}
+    try:
+        for _ in range(workers - 1):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            helper = multiprocessing.Process(target=_help, args=(fn, jobs, bounds, sender))
+            helper.start()
+            sender.close()
+            helpers.append((helper, receiver))
+        # a helper that died (killed, or os._exit) sends nothing, so look before each job
+        while not any(helper.exitcode for helper, _ in helpers):
+            index = _take(bounds, from_back=True)
+            if index is None:
+                break
+            results[index] = fn(jobs[index])
+    finally:
+        _stop(bounds)  # no process starts another job
+        outcomes = [_outcome(helper, receiver) for helper, receiver in helpers]
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+        results.update(outcome)
+    return [results[index] for index in range(len(jobs))]
+
+
+def _take(bounds, from_back: bool = False) -> int | None:
+    """Take the job at one end of jobs[front:back]; None when none is left."""
+    with bounds.get_lock():
+        front, back = bounds
+        if front == back:
+            return None
+        if from_back:
+            bounds[1] = back - 1
+            return back - 1
+        bounds[0] = front + 1
+        return front
+
+
+def _stop(bounds) -> None:
+    """Leave no job to take."""
+    with bounds.get_lock():
+        bounds[0] = bounds[1]
+
+
+def _help(fn, jobs, bounds, sender) -> None:
+    """A helper process: runs jobs from the front, then sends its one outcome, a
+    {job index: result} dict, or the failing job's exception and traceback."""
+    try:
+        done = {}
+        while (index := _take(bounds)) is not None:
+            done[index] = fn(jobs[index])
+        outcome = done
+    except BaseException as exc:  # a failure stops every process
+        _stop(bounds)
+        import traceback
+
+        outcome = (exc, traceback.format_exc())
+    sender.send(outcome)
+    sender.close()
+
+
+def _outcome(helper, receiver) -> dict | BaseException:
+    """A helper's {job index: result} dict, or the exception to raise for it, once it has ended."""
+    try:
+        outcome = receiver.recv()
+    except EOFError:  # it died without sending one
+        outcome = None
+    helper.join()
+    receiver.close()
+    if isinstance(outcome, tuple):
+        exc, trace = outcome
+        exc.__cause__ = RuntimeError(f"raised in a helper process:\n{trace}")
+        return exc
+    # a death after sending its results still stopped this process, so jobs may be left over
+    if outcome is None or helper.exitcode:
+        return RuntimeError(f"a helper process ended with exit code {helper.exitcode}")
+    return outcome
 
 
 def _usable_cpus() -> int:

@@ -36,7 +36,7 @@ raise SystemExit(code)
 """
 
 # the same with numpy blocked, so that an import of it in this process or in a
-# forked worker fails the command; reports whether the process pool was loaded
+# helper process fails the command; reports whether multiprocessing was loaded
 BLOCKED_NUMPY_GUARD = """
 import runpy, sys
 sys.modules["numpy"] = None
@@ -44,7 +44,7 @@ try:
     runpy.run_module("gossipvote", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print("pool loaded:", "concurrent.futures.process" in sys.modules)
+print("pool loaded:", "multiprocessing" in sys.modules)
 raise SystemExit(code)
 """
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
+import multiprocessing
+import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -288,7 +291,7 @@ class TestSimulateScenario:
 
 @pytest.mark.parametrize(
     "workers, jobs, cpus, pool_sizes",
-    [(8, 5, 3, [3]), (2, 5, 3, [2]), (8, 2, 4, [2]), (4, 1, 4, []), (4, 5, None, [])],
+    [(8, 5, 3, [2]), (2, 5, 3, [1]), (8, 2, 4, [1]), (4, 1, 4, []), (4, 5, None, [])],
 )
 def test_worker_count_is_bounded_by_jobs_and_cpus(monkeypatch, workers, jobs, cpus, pool_sizes):
     """Without an affinity call the cap is os.cpu_count(), and 1 when that is unknown."""
@@ -299,7 +302,7 @@ def test_worker_count_is_bounded_by_jobs_and_cpus(monkeypatch, workers, jobs, cp
 
 @pytest.mark.parametrize(
     "workers, jobs, usable, pool_sizes",
-    [(2, 5, {0}, []), (2, 5, {1}, []), (8, 5, {0, 3, 5}, [3]), (2, 5, {0, 1, 2, 3}, [2])],
+    [(2, 5, {0}, []), (2, 5, {1}, []), (8, 5, {0, 3, 5}, [2]), (2, 5, {0, 1, 2, 3}, [1])],
 )
 def test_worker_count_is_bounded_by_usable_cpus(monkeypatch, workers, jobs, usable, pool_sizes):
     """Pinned to one CPU of a larger host (taskset -c 0), --workers 2 runs inline."""
@@ -310,30 +313,81 @@ def test_worker_count_is_bounded_by_usable_cpus(monkeypatch, workers, jobs, usab
 
 
 def _pool_sizes(monkeypatch, workers: int, jobs: int) -> list[int]:
-    """Sizes of the pools _map_jobs asks for, with a stub pool that starts no process."""
-    created: list[int] = []
+    """The helper count of each fan-out _map_jobs makes, with a stub process class."""
+    helpers: list[object] = []
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records its size, runs jobs inline."""
+    class RecordingProcess:
+        """Stands in for multiprocessing.Process: runs its target in this process when started."""
 
-        def __init__(self, max_workers: int):
-            created.append(max_workers)
+        exitcode = None
 
-        def __enter__(self):
-            return self
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+            helpers.append(self)
 
-        def __exit__(self, *exc):
-            return False
+        def start(self):
+            self.target(*self.args)
+            self.exitcode = 0
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def join(self):
+            pass
 
-    # _map_jobs imports the pool class when it fans out, so patch it where it lives
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # _map_jobs imports multiprocessing when it fans out, so patch the class where it lives
+    monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
     assert scenario_module._map_jobs(abs, list(range(-jobs, 0)), workers) == list(
         range(jobs, 0, -1)
     )
-    return created
+    return [len(helpers)] if helpers else []
+
+
+def _marked_job(marks: Path, fail: int, index: int) -> int:
+    """Leaves a marker file when it starts; job `fail` raises, the others take 0.2 s."""
+    (marks / str(index)).touch()
+    if index == fail:
+        raise ValueError(f"job {index} failed")
+    time.sleep(0.2)
+    return index
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("fail", [0, 9])  # a helper's first job; the main process's first
+def test_a_failing_job_stops_the_jobs_not_yet_started(monkeypatch, tmp_path, workers, fail):
+    monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: workers)
+    job = functools.partial(_marked_job, tmp_path, fail)
+    with pytest.raises(ValueError) as caught:
+        scenario_module._map_jobs(job, list(range(10)), workers)
+    assert caught.type is ValueError and caught.value.args == (f"job {fail} failed",)
+    if fail == 0:  # a helper's failure carries the helper's traceback
+        assert "in _marked_job" in str(caught.value.__cause__)
+    ran = {int(path.name) for path in tmp_path.iterdir()}
+    assert fail in ran and len(ran) < 10
+    assert multiprocessing.active_children() == []
+
+
+def _dying_job(marks: Path, main_pid: int, index: int) -> int:
+    """Leaves a marker file when it starts; job 0 ends its process at once when a
+    helper runs it, the others take 0.2 s."""
+    (marks / str(index)).touch()
+    if index == 0 and os.getpid() != main_pid:
+        os._exit(3)
+    time.sleep(0.2)
+    return index
+
+
+def test_a_helper_that_dies_is_reported(monkeypatch, tmp_path):
+    monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: 2)
+    job = functools.partial(_dying_job, tmp_path, os.getpid())
+    with pytest.raises(RuntimeError, match="exit code 3"):
+        scenario_module._map_jobs(job, list(range(10)), 2)
+    ran = {int(path.name) for path in tmp_path.iterdir()}
+    assert 0 in ran and len(ran) < 10  # the main process stopped taking jobs
+    assert multiprocessing.active_children() == []
+
+
+def test_no_helper_outlives_a_fanned_out_call(monkeypatch):
+    monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: 2)
+    assert scenario_module._map_jobs(abs, list(range(-6, 0)), 2) == [6, 5, 4, 3, 2, 1]
+    assert multiprocessing.active_children() == []
 
 
 class TestParseGrid:

@@ -1,7 +1,8 @@
 """Command-line front end: simulate, sweep, forecast.
 
 Exit codes: 0 success, 1 invalid inputs (bad arguments, scenario, grid, CSV,
-or variant name), 2 I/O failure (missing files, unwritable output directory).
+or variant name, or sizes too large for memory), 2 I/O failure (missing
+files, unwritable output directory).
 
 Each command imports only the modules it runs, and none of them loads numpy.
 """
@@ -72,6 +73,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (KeyError, ValueError) as exc:  # ConfigError and DatasetError are ValueErrors
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:  # e.g. the observer's histogram of a huge k
+        print("error: out of memory: a size in the inputs (such as n or k) is too large",
+              file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .engine import draw_graph, draw_groups, init_group, rng_at, run_states
 from .engine import step  # noqa: F401  perfbench's tracer test reads forecast.step
@@ -43,8 +42,7 @@ class DatasetError(ValueError):
     """A forecast CSV is malformed or internally inconsistent."""
 
 
-@dataclass(frozen=True)
-class ForecastDataset:
+class ForecastDataset(NamedTuple):
     """Per-day integer predictions by named sources, plus the realized actuals.
 
     days preserves the actuals file order and drives per-day seed derivation.
@@ -133,8 +131,7 @@ def _parse_int(text: str, path: str, line: int, column: str) -> int:
         ) from None
 
 
-@dataclass(frozen=True)
-class GossipParams:
+class GossipParams(NamedTuple):
     """Protocol knobs the decentralized variants expose."""
 
     v: int = 3
@@ -145,8 +142,7 @@ class GossipParams:
     gossip_ticks: int = 50
 
 
-@dataclass(frozen=True)
-class VariantSpec:
+class VariantSpec(NamedTuple):
     """One aggregation variant: optional gossip layer plus a supervisor operator."""
 
     name: str
@@ -261,8 +257,7 @@ def mae(predictions: Mapping[str, float], actuals: Mapping[str, int]) -> float:
     return sum(abs(predictions[day] - actuals[day]) for day in common) / len(common)
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     """How a comparator's MAE relates to the system's, as a Table-style cell.
 
     ratio is comparator_mae / system_mae (None when the system's MAE is 0).
@@ -290,8 +285,7 @@ def compare_cell(system_mae: float, comparator_mae: float) -> Comparison:
     return Comparison(ratio, f"{percent - 100}% better")
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """One variant's standing against the individual sources."""
 
     variant: str
@@ -365,5 +359,11 @@ def render_table(reports: list[EvalReport]) -> str:
 
 
 def report_payload(reports: list[EvalReport], seed: int) -> dict:
-    """JSON-ready mirror of the rendered table: each report's fields, in EvalReport's order."""
-    return {"seed": seed, "variants": [asdict(report) for report in reports]}
+    """JSON-ready mirror of the rendered table: each report's fields, in EvalReport's order.
+
+    json writes a NamedTuple as a list, so each report and its Comparisons become dicts here.
+    """
+    return {"seed": seed, "variants": [
+        {name: value._asdict() if isinstance(value, Comparison) else value
+         for name, value in report._asdict().items()}
+        for report in reports]}

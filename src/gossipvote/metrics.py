@@ -13,15 +13,13 @@ loading numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .engine import Trajectory
 from .model import FriendGraph
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """Every per-tick observer number of one trajectory, one entry per tick from 0.
 
     A histogram counts the agents holding each value 0..k; ticks that changed

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 STRATEGIES = ("dominant", "consensus", "mixed")
 
@@ -21,13 +19,17 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
                 "int | None": (int, type(None))}
 
 
-def check_field_types(config: object) -> None:
-    """Raise ConfigError naming the first dataclass field of the wrong type."""
-    for spec in dataclasses.fields(config):
-        value = getattr(config, spec.name)
-        if not isinstance(value, _FIELD_TYPES.get(spec.type, object)) or (
-                isinstance(value, bool) and spec.type != "bool"):
-            raise ConfigError(f"{spec.name} must be {spec.type}, got {value!r}")
+def check_field_types(config: tuple, fields: type) -> None:
+    """Raise ConfigError naming the first field of config of the wrong type.
+
+    fields is the NamedTuple class that annotates config's fields.
+    """
+    for name, annotation in fields.__annotations__.items():
+        kind = annotation.__forward_arg__  # NamedTuple keeps a string annotation as a ForwardRef
+        value = getattr(config, name)
+        if not isinstance(value, _FIELD_TYPES.get(kind, object)) or (
+                isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 class FriendGraph:
@@ -74,8 +76,22 @@ class FriendGraph:
         return f"FriendGraph(n={self.n_agents}, edges={self.n_edges})"
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class _SimFields(NamedTuple):  # SimConfig's fields and defaults; SimConfig adds the checks
+    n: int = 500
+    k: int = 1
+    v: int = 3
+    f: int = 0
+    friend_prob: float = 0.0
+    activation_prob: float = 0.5
+    strategy: str = "dominant"
+    mixed_consensus_prob: float = 0.0
+    include_self: bool = True
+    symmetric_friends: bool = False
+    max_ticks: int = 500
+    seed: int = 0
+
+
+class SimConfig(_SimFields):
     """Every parameter of one run.
 
     n                    population size
@@ -96,24 +112,16 @@ class SimConfig:
                          queued vote equal) draws nothing from then on
     seed                 seed for the single run RNG
 
-    A field of the wrong type (see check_field_types) raises ConfigError.
+    A config is an immutable NamedTuple, and config._replace(v=20) is a new
+    one. A field of the wrong type (see check_field_types) or out of range
+    raises ConfigError, on construction and on every _replace.
     """
 
-    n: int = 500
-    k: int = 1
-    v: int = 3
-    f: int = 0
-    friend_prob: float = 0.0
-    activation_prob: float = 0.5
-    strategy: str = "dominant"
-    mixed_consensus_prob: float = 0.0
-    include_self: bool = True
-    symmetric_friends: bool = False
-    max_ticks: int = 500
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_field_types(self)
+    def __new__(cls, *args, **kwargs) -> SimConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        check_field_types(self, _SimFields)
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.k < 0:
@@ -145,6 +153,12 @@ class SimConfig:
             )
         if self.max_ticks < 1:
             raise ConfigError(f"max_ticks must be >= 1, got {self.max_ticks}")
+        return self
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> SimConfig:
+        """Build through __new__, so that _replace, which builds here, validates too."""
+        return cls(*fields)
 
 
 def make_friend_graph(

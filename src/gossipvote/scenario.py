@@ -9,13 +9,11 @@ byte given the file.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .engine import draw_groups, init, init_group, run_states
 from .metrics import Observation, convergence_tick, observe, pairwise_sum, steady_change_rate
@@ -25,19 +23,23 @@ from .output import json_text, write_atomic
 OUTPUT_KINDS = ("trajectory_csv", "metrics_csv", "summary_json")
 SWEEP_KEYS = ("n", "k", "v", "f", "friend_prob")
 
-_SIM_FIELDS = {f.name for f in dataclasses.fields(SimConfig)}
 
-
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):  # Scenario's fields and defaults; Scenario adds the checks
     sim: SimConfig
     replications: int = 1
     outputs: tuple[str, ...] = OUTPUT_KINDS
     label: str = ""
     burn_in: int | None = None  # None -> a tenth of the horizon
 
-    def __post_init__(self) -> None:
-        check_field_types(self)
+
+class Scenario(_ScenarioFields):
+    """A SimConfig plus batch settings, checked on construction and on every _replace."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Scenario:
+        self = super().__new__(cls, *args, **kwargs)
+        check_field_types(self, _ScenarioFields)
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
         unknown = [o for o in self.outputs if o not in OUTPUT_KINDS]
@@ -52,12 +54,18 @@ class Scenario:
                 f"burn_in must satisfy 0 <= burn_in < max_ticks={self.sim.max_ticks}, "
                 f"got {self.burn_in}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> Scenario:
+        """Build through __new__, so that _replace, which builds here, validates too."""
+        return cls(*fields)
 
     def effective_burn_in(self) -> int:
         return self.sim.max_ticks // 10 if self.burn_in is None else self.burn_in
 
     def replication_config(self, index: int) -> SimConfig:
-        return dataclasses.replace(self.sim, seed=self.sim.seed + index)
+        return self.sim._replace(seed=self.sim.seed + index)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -66,7 +74,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "replications": scenario.replications,
         "outputs": list(scenario.outputs),
         "burn_in": scenario.burn_in,
-        "sim": dataclasses.asdict(scenario.sim),
+        "sim": scenario.sim._asdict(),
     }
 
 
@@ -80,7 +88,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     sim_raw = raw.get("sim")
     if not isinstance(sim_raw, dict):
         raise ConfigError("scenario needs a 'sim' object")
-    bad = sorted(set(sim_raw) - _SIM_FIELDS)
+    bad = sorted(set(sim_raw) - set(SimConfig._fields))
     if bad:
         raise ConfigError(f"unknown sim keys: {', '.join(bad)}")
     sim = SimConfig(**sim_raw)
@@ -141,8 +149,7 @@ def metrics_csv(obs: Observation) -> str:
 # batch running
 
 
-@dataclass(frozen=True)
-class ReplicationOutput:
+class ReplicationOutput(NamedTuple):
     index: int
     summary: dict
     trajectory_csv: str | None
@@ -415,7 +422,7 @@ def sweep_scenario(
         if overrides.get("f") == 0 and "friend_prob" not in overrides:
             overrides["friend_prob"] = 0.0
         try:
-            configs.append(dataclasses.replace(scenario.sim, **overrides))
+            configs.append(scenario.sim._replace(**overrides))
             kept_cells.append(cell)
         except ConfigError as exc:
             skipped.append(f"skipping cell {cell!r}: {exc}")
@@ -424,7 +431,7 @@ def sweep_scenario(
     # one job per draw group and replication; the cells of a group share every draw
     keys = [(group, index) for group in draw_groups(configs) for index in range(reps)]
     jobs = [
-        ([dataclasses.replace(configs[cell], seed=configs[cell].seed + index) for cell in group],
+        ([configs[cell]._replace(seed=configs[cell].seed + index) for cell in group],
          burn_in)
         for group, index in keys
     ]

@@ -10,7 +10,6 @@ friend_prob, which changes their draws.
 """
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -287,9 +286,7 @@ def _random_dataset(rng: random.Random):
 
 def _without_gossip(name: str):
     spec = variant_by_name(name)
-    return dataclasses.replace(
-        spec, gossip=dataclasses.replace(spec.gossip, gossip_ticks=0)
-    )
+    return spec._replace(gossip=spec.gossip._replace(gossip_ticks=0))
 
 
 def test_a08_zero_gossip_variants_collapse_to_direct_aggregation():

@@ -24,13 +24,16 @@ SCENARIO_DIR = REPO_ROOT / "scenarios"
 # bytes no UTF-8 decoder accepts: a lone continuation byte, then an invalid lead
 NOT_UTF8 = b"\x80\xff\xfe binary\n"
 
-# runs `python -m gossipvote ARGS` in this process, then reports whether numpy was loaded
+# runs `python -m gossipvote ARGS` in this process, then reports which of
+# dataclasses and inspect (~1 MiB and ~8 ms of imports no command needs) it
+# loaded, and whether numpy was loaded
 NUMPY_GUARD = """
 import runpy, sys
 try:
     runpy.run_module("gossipvote", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+print("machinery loaded:", sorted({"dataclasses", "inspect"} & set(sys.modules)))
 print("numpy loaded:", "numpy" in sys.modules)
 raise SystemExit(code)
 """
@@ -44,6 +47,7 @@ try:
     runpy.run_module("gossipvote", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+print("machinery loaded:", sorted({"dataclasses", "inspect"} & set(sys.modules)))
 print("pool loaded:", "multiprocessing" in sys.modules)
 raise SystemExit(code)
 """
@@ -147,6 +151,17 @@ class TestSimulateCommand:
         assert code == EXIT_INVALID
         assert_one_error_line(capsys.readouterr().err, str(path), "utf-8")
         assert not (tmp_path / "o").exists()
+
+    def test_a_k_too_large_for_memory_is_one_error_line(self, tmp_path, capsys):
+        # the observer's [0] * (k + 1) fails its size check before asking for any memory
+        path = tmp_path / "huge.scenario"
+        path.write_text(json.dumps({"replications": 1,
+                                    "sim": {"n": 2, "k": 2**62, "max_ticks": 1}}))
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "out of memory")
 
 
 class TestSweepCommand:
@@ -374,8 +389,9 @@ class TestEntryPoints:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        *output, numpy_loaded = proc.stdout.splitlines()
+        *output, machinery_loaded, numpy_loaded = proc.stdout.splitlines()
         assert stdout_part in "\n".join(output)
+        assert machinery_loaded == "machinery loaded: []"
         assert numpy_loaded == "numpy loaded: False"
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -393,7 +409,7 @@ class TestEntryPoints:
         assert proc.returncode == EXIT_OK, proc.stderr
         # two replications fan out only where two CPUs are usable
         pooled = workers > 1 and len(os.sched_getaffinity(0)) > 1
-        assert proc.stdout.splitlines()[-1] == f"pool loaded: {pooled}"
+        assert proc.stdout.splitlines()[-2:] == ["machinery loaded: []", f"pool loaded: {pooled}"]
 
     def test_utf8_inputs_give_the_same_bytes_under_an_ascii_locale(self, tmp_path):
         scenario = Scenario(sim=SimConfig(n=10, k=1, v=2, f=2, friend_prob=0.25, max_ticks=20),
@@ -457,6 +473,28 @@ class TestPackageExports:
         assert set(gossipvote.__all__) <= set(namespace)
         assert set(gossipvote.__all__) <= set(dir(gossipvote))
         assert all(getattr(gossipvote, name) is namespace[name] for name in gossipvote.__all__)
+
+    def test_records_reject_attribute_assignment(self):
+        import gossipvote as gv
+        from gossipvote.scenario import ReplicationOutput
+
+        config = gv.SimConfig(n=6, k=1, v=2, max_ticks=3, seed=1)
+        state = gv.init(config)
+        (traj,) = gv.run_states([state])
+        records = [
+            config, gv.Scenario(sim=config), traj, traj.events[0], gv.observe(traj, state.graph),
+            ReplicationOutput(0, {}, None, None),
+            gv.load_dataset(str(DATA_DIR / "synthetic_predictions.csv"),
+                            str(DATA_DIR / "synthetic_actuals.csv")),
+            gv.GossipParams(), gv.VARIANTS[-1], gv.compare_cell(1.0, 2.0),
+            gv.compare_report(1.0, {"a": 2.0}),
+        ]
+        for record in records:
+            first = record._fields[0]
+            with pytest.raises(AttributeError):
+                setattr(record, first, None)
+            with pytest.raises(AttributeError):
+                record.extra = None
 
     def test_unknown_name_is_an_attribute_error(self):
         import gossipvote

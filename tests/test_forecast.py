@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from pathlib import Path
@@ -181,12 +180,10 @@ class TestRunVariant:
             dropped = sorted(trimmed)[:4]
             for day in dropped:
                 del trimmed[day]
-            data = dataclasses.replace(
-                data, sources={**data.sources, victim: trimmed}
-            )
+            data = data._replace(sources={**data.sources, victim: trimmed})
             uncovered = dropped
-        without = dataclasses.replace(
-            data, sources={s: d for s, d in data.sources.items() if s != victim}
+        without = data._replace(
+            sources={s: d for s, d in data.sources.items() if s != victim}
         )
         spec = variant_by_name("dominant-decentralized")
         full_out = _run_days(data, [spec], 4)[0]
@@ -389,18 +386,10 @@ class TestZeroGossipEquivalence:
     def test_dominant_and_consensus_variants_collapse(self):
         rng = random.Random(31)
         data = _random_dataset(rng, days=10, sources=6)
-        dom = dataclasses.replace(
-            variant_by_name("dominant-decentralized"),
-            gossip=dataclasses.replace(
-                variant_by_name("dominant-decentralized").gossip, gossip_ticks=0
-            ),
-        )
-        cons = dataclasses.replace(
-            variant_by_name("decentralized-consensus"),
-            gossip=dataclasses.replace(
-                variant_by_name("decentralized-consensus").gossip, gossip_ticks=0
-            ),
-        )
+        dom = variant_by_name("dominant-decentralized")
+        dom = dom._replace(gossip=dom.gossip._replace(gossip_ticks=0))
+        cons = variant_by_name("decentralized-consensus")
+        cons = cons._replace(gossip=cons.gossip._replace(gossip_ticks=0))
         assert _run_days(data, [dom], 2)[0] == _run_days(
             data, [variant_by_name("basic-dominant")], 2
         )[0]

@@ -72,6 +72,24 @@ class TestSimConfigValidation:
     def test_k_zero_is_a_legal_degenerate_domain(self):
         SimConfig(k=0)
 
+    @pytest.mark.parametrize("changes, fragment", [
+        (dict(v=0), "v must be >= 1"),
+        (dict(f=500), "f must satisfy"),
+        (dict(f=0), "friend_prob must be 0"),
+        (dict(seed="abc"), "seed must be int"),
+    ])
+    def test_replace_is_checked_as_construction_is(self, changes, fragment):
+        config = SimConfig(f=2, friend_prob=0.5)
+        with pytest.raises(ConfigError, match=fragment):
+            config._replace(**changes)
+        assert config._replace(v=20) == SimConfig(f=2, friend_prob=0.5, v=20)
+
+    def test_configs_are_equal_by_value(self):
+        config = SimConfig(n=20, seed=3)
+        assert config == SimConfig(n=20, seed=3)
+        assert hash(config) == hash(SimConfig(n=20, seed=3))
+        assert config != SimConfig(n=20, seed=4)
+
 
 class TestFriendGraph:
     def test_rejects_self_loop(self):

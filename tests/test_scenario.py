@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -105,6 +104,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="output"):
             small_scenario(outputs=("summary_json", "summary_json"))
 
+    def test_replace_is_checked_as_construction_is(self):
+        scenario = small_scenario(burn_in=30)
+        with pytest.raises(ConfigError, match="burn_in"):
+            scenario._replace(sim=scenario.sim._replace(max_ticks=20))
+        with pytest.raises(ConfigError, match="replications must be int"):
+            scenario._replace(replications="3")
+        assert scenario._replace(label="x") == small_scenario(burn_in=30, label="x")
+
     def test_default_burn_in_is_a_tenth_of_the_horizon(self):
         assert small_scenario().effective_burn_in() == 4
         assert small_scenario(burn_in=9).effective_burn_in() == 9
@@ -115,7 +122,7 @@ class TestScenarioConfig:
         assert scenario.replication_config(3).seed == 10
         base = scenario.sim
         stepped = scenario.replication_config(1)
-        assert stepped == SimConfig(**{**base.__dict__, "seed": 8})
+        assert stepped == SimConfig(**{**base._asdict(), "seed": 8})
 
 
 class TestCsvRendering:
@@ -485,7 +492,7 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=10,
 )
-SIM_FIELDS = [field.name for field in dataclasses.fields(SimConfig)]
+SIM_FIELDS = list(SimConfig._fields)
 SIM_DICTS = st.dictionaries(st.sampled_from(SIM_FIELDS) | st.text(max_size=6), JSON_VALUES,
                             max_size=len(SIM_FIELDS))
 SCENARIO_DICTS = st.fixed_dictionaries({}, optional={

@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import statistics
 
-from gossipvote import ConfigError, SimConfig, init, observe, run_states
+from gossipvote import ConfigError, SimConfig, observe, run
 
 
 def mean_gap(friend_prob: float, seed: int, args: argparse.Namespace) -> float:
-    state = init(
+    ((state, traj),) = run([
         SimConfig(
             n=500,
             k=1,
@@ -26,8 +26,7 @@ def mean_gap(friend_prob: float, seed: int, args: argparse.Namespace) -> float:
             max_ticks=args.last_tick,
             seed=seed,
         )
-    )
-    (traj,) = run_states([state])
+    ])
     return statistics.mean(observe(traj, state.graph).gaps(args.first_tick, args.last_tick + 1))
 
 

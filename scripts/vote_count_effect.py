@@ -22,9 +22,9 @@ from gossipvote import (
     dissent_change_rate,
     live_change_rate,
     observe,
+    run,
     steady_change_rate,
 )
-from gossipvote.engine import init_group, run_states
 
 RATES = ("changes per dissenting agent-tick", "per-tick rate up to unanimity", "steady rate")
 
@@ -33,12 +33,12 @@ def arms(
     vs: tuple[int, ...], seed: int, horizon: int, burn_in: int
 ) -> list[tuple[tuple[float, ...], int | None]]:
     """One seed's run at each v, stepped together on one draw sequence."""
-    states = init_group([
+    runs = run([
         SimConfig(n=500, k=1, v=v, f=0, activation_prob=0.5, max_ticks=horizon, seed=seed)
         for v in vs
     ])
     results = []
-    for state, traj in zip(states, run_states(states)):
+    for state, traj in runs:
         obs = observe(traj, state.graph)
         rates = (
             dissent_change_rate(obs, burn_in),

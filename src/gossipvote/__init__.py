@@ -7,7 +7,7 @@ import importlib
 # command imports only the modules it runs. No command loads numpy; only
 # SimState.snapshot does.
 _EXPORTS = {
-    "engine": ("SimState", "TickEvents", "Trajectory", "init", "run_states", "step"),
+    "engine": ("SimState", "TickEvents", "Trajectory", "run", "step"),
     "forecast": (
         "VARIANTS", "Comparison", "DatasetError", "EvalReport", "ForecastDataset",
         "GossipParams", "VariantSpec", "compare_cell", "compare_report", "evaluate",

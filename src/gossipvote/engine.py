@@ -23,11 +23,11 @@ settles.
 
 Apart from those mixed coins, no draw depends on values, v, include_self or
 the operator, so runs that differ only there (equal draw_key) draw the same
-friend graph, initial values and sends. init_group builds such a draw group
-and run_states, the one loop that steps runs, steps it: each tick's sends are
-drawn once, while some member is unsettled, and delivered to every unsettled
-member, which still takes its own step per tick with the TickEvents of a lone
-run.
+friend graph, initial values and sends. run, the one entry point, builds
+every run and steps each such draw group together in run_states: each tick's
+sends are drawn once, while some member is unsettled, and delivered to every
+unsettled member, which still takes its own step per tick with the TickEvents
+of a lone run.
 
 A state is settled once every agent holds one value w and every queued vote
 is w: no operator can change a value from then on. step latches that after
@@ -94,17 +94,14 @@ class SimState:
         """Read-only numpy copy of every agent's current value, indexed by agent id.
 
         The dtype is uint8 when k < 256, else int64. Runs never call it, so
-        they never load numpy.
+        they never load numpy, which is not a dependency of the package but
+        of its test extra (pip install ".[test]").
         """
         import numpy as np
 
         snap = np.array(self.values, dtype=np.uint8 if self.config.k < 256 else np.int64)
         snap.flags.writeable = False
         return snap
-
-    def is_absorbing(self) -> bool:
-        """Settled with every inbox empty: nothing can ever change again."""
-        return self.settled and not any(self.inboxes)
 
 
 def _settled(values: list[int], inboxes: list[list[int]]) -> bool:
@@ -174,25 +171,6 @@ def init(
         raise ValueError(f"need {config.n} initial values in 0..{config.k}")
     inboxes: list[list[int]] = [[] for _ in range(config.n)]
     return SimState(config=config, values=list(values), inboxes=inboxes, graph=graph, rng=rng)
-
-
-def init_group(
-    configs: Sequence[SimConfig],
-    values: list[int] | None = None,
-    drawn: tuple[FriendGraph, random.Random] | None = None,
-) -> list[SimState]:
-    """Fresh states for one draw group (see draw_key), ready for run_states.
-
-    The first state is init(configs[0], values, drawn); each other state
-    starts from its friend graph, its initial values and a copy of its RNG,
-    so the group draws them once.
-    """
-    lead = init(configs[0], values, drawn)
-    rng_state = lead.rng.getstate()
-    states = [lead]
-    for config in configs[1:]:
-        states.append(init(config, lead.values, drawn=(lead.graph, rng_at(rng_state))))
-    return states
 
 
 def draw_key(config: SimConfig) -> tuple | None:
@@ -329,13 +307,16 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
         drawer = SimState(lead.config, lead.values, lead.inboxes, lead.graph, rng_at(rng_state))
     handover = drawer is not lead  # a lone state is its own drawer: its RNG is already there
     trajs = [Trajectory(tuple(state.values), [], state.config) for state in states]
-    live = [pair for pair in zip(states, trajs) if not pair[0].is_absorbing()]
-    drawing = sum(not state.settled for state, _ in live)  # members whose steps read sends
+    live = list(zip(states, trajs))
+    drawing = sum(not state.settled for state in states)  # members whose steps read sends
+    settling = True  # an initially absorbing member takes no tick
     for _ in range(lead.config.max_ticks):
-        if not live:
-            break
+        if settling:  # drop the absorbing members: settled, every inbox empty
+            live = [pair for pair in live if not pair[0].settled or any(pair[0].inboxes)]
+            if not live:
+                break
+            settling = False
         sends = draw_sends(drawer) if drawing else None  # a settled step reads no sends
-        settling = False
         # plain loops, not comprehensions: this runs once per tick of every run
         for state, traj in live:
             events = step(state, sends)
@@ -345,10 +326,42 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
                 settling = True
                 if handover:
                     state.rng.setstate(drawer.rng.getstate())  # its lone run draws no more
-        if settling:
-            live = [pair for pair in live if not pair[0].is_absorbing()]
     if handover:  # an unsettled group member takes the drawer's end state
         for state, _ in live:
             if not state.settled:
                 state.rng.setstate(drawer.rng.getstate())
     return trajs
+
+
+def run(configs: Sequence[SimConfig], values: list[int] | None = None,
+        ) -> list[tuple[SimState, Trajectory]]:
+    """Every config's run to its horizon: its end state and trajectory, in config order.
+
+    Each result is exactly what the config's lone run (init, then run_states)
+    gives, but shared draws are made once: a friend graph once per graph key
+    (seed, n, f and symmetric_friends, which its draws depend on), the
+    initial values once per draw group (see draw_key), and each tick's sends
+    once per group, which run_states steps together. Groups with one graph
+    key but another k draw their own initial values from a copy of the RNG
+    state after the graph. Given values (one per agent, in 0..k of every
+    config) draw nothing before tick 1.
+    """
+    results: list = [None] * len(configs)
+    graphs: dict[tuple, tuple[FriendGraph, tuple]] = {}  # graph key -> graph, RNG state after it
+    for group in draw_groups(configs):
+        lead = configs[group[0]]
+        key = (lead.seed, lead.n, lead.f, lead.symmetric_friends)
+        if key in graphs:
+            graph, rng_state = graphs[key]
+            drawn = graph, rng_at(rng_state)
+        else:
+            drawn = draw_graph(lead)
+            graphs[key] = drawn[0], drawn[1].getstate()
+        states = [init(lead, values, drawn)]
+        if len(group) > 1:  # the other members start from copies of the lead's start
+            rng_state = states[0].rng.getstate()
+            states += [init(configs[index], states[0].values, (drawn[0], rng_at(rng_state)))
+                       for index in group[1:]]
+        for index, state, traj in zip(group, states, run_states(states)):
+            results[index] = state, traj
+    return results

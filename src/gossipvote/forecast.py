@@ -16,10 +16,9 @@ Each day gets its own RNG derived from the harness seed and the day's index,
 so appending days never perturbs earlier ones.
 
 The harness walks the days once for all requested variants. A day's shift
-and each of its distinct friend graphs are computed once and shared by the
-variants that need them, and variants whose draws coincide step together
-on one draw sequence (engine.run_states); nothing is kept from one day to
-the next.
+is computed once, and its gossip variants run in one engine.run call, which
+draws each distinct friend graph once and steps variants whose draws
+coincide together; nothing is kept from one day to the next.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ import csv
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .engine import draw_graph, draw_groups, init_group, rng_at, run_states
+from .engine import run
 from .engine import step  # noqa: F401  perfbench's tracer test reads forecast.step
 from .integration import integrate
-from .model import FriendGraph, SimConfig
+from .model import SimConfig
 
 # the replay layer fixes these; only v/f/friend_prob/strategy vary by variant
 ACTIVATION_PROB = 0.5
@@ -202,30 +201,10 @@ def _run_days(
 
 
 def _integrate_day(values: list[int], specs: Sequence[VariantSpec], seed: int) -> list[int]:
-    """Each variant's prediction for one day, the day's shared inputs computed once.
-
-    A day's graph depends only on (seed, n, f), so the gossip variants with
-    equal f share one graph. Variants with equal draw keys (see
-    engine.draw_key) also share every tick's sends and step together;
-    each starts from its own copy of the RNG state after the graph's draws,
-    so a variant draws what it would draw alone.
-    """
+    """Each variant's prediction for one day, the day's shift computed once."""
     low = min(values)
     shifted = [value - low for value in values]
-    k = max(shifted)
-    finals = [shifted] * len(specs)
-    gossip = [index for index, spec in enumerate(specs)
-              if spec.gossip is not None and spec.gossip.gossip_ticks > 0]
-    configs = [_gossip_config(len(shifted), k, specs[index].gossip, seed) for index in gossip]
-    drawn: dict[int, tuple[FriendGraph, tuple]] = {}  # f -> (graph, RNG state after it)
-    for group in draw_groups(configs):
-        f = configs[group[0]].f
-        if f not in drawn:
-            graph, rng = draw_graph(configs[group[0]])
-            drawn[f] = (graph, rng.getstate())
-        group_finals = _gossip_day(shifted, [configs[member] for member in group], *drawn[f])
-        for member, final in zip(group, group_finals):
-            finals[gossip[member]] = final
+    finals = _gossip_day(shifted, [spec.gossip for spec in specs], seed)
     return [integrate(final, None, spec.supervisor) + low for spec, final in zip(specs, finals)]
 
 
@@ -240,13 +219,21 @@ def _gossip_config(n: int, k: int, params: GossipParams, seed: int) -> SimConfig
 
 
 def _gossip_day(
-    values: list[int], configs: list[SimConfig], graph: FriendGraph, rng_state: tuple
+    values: list[int], params: Sequence[GossipParams | None], seed: int
 ) -> list[list[int]]:
-    """One draw group's final values after max_ticks ticks of gossip on one draw sequence."""
-    # the values are given, so the runs draw nothing before their first tick
-    states = init_group(configs, values, drawn=(graph, rng_at(rng_state)))
-    run_states(states)
-    return [state.values for state in states]
+    """Each variant's values after the day's gossip, one engine.run for the day.
+
+    A variant without gossip (params None or gossip_ticks <= 0) keeps values.
+    The values are given, so the runs draw nothing before their first tick,
+    and each ends as it would alone, whichever other variants run.
+    """
+    gossip = [index for index, p in enumerate(params) if p is not None and p.gossip_ticks > 0]
+    n, k = len(values), max(values)
+    configs = [_gossip_config(n, k, params[index], seed) for index in gossip]
+    finals = [values] * len(params)
+    for index, (state, _) in zip(gossip, run(configs, values)):
+        finals[index] = state.values
+    return finals
 
 
 def mae(predictions: Mapping[str, float], actuals: Mapping[str, int]) -> float:

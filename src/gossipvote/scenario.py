@@ -15,7 +15,7 @@ import math
 import os
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from .engine import draw_groups, init, init_group, run_states
+from .engine import draw_groups, run
 from .metrics import Observation, convergence_tick, observe, pairwise_sum, steady_change_rate
 from .model import ConfigError, SimConfig, check_field_types
 from .output import json_text, write_atomic
@@ -69,20 +69,13 @@ class Scenario(_ScenarioFields):
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "label": scenario.label,
-        "replications": scenario.replications,
-        "outputs": list(scenario.outputs),
-        "burn_in": scenario.burn_in,
-        "sim": scenario.sim._asdict(),
-    }
+    return {**scenario._asdict(), "outputs": list(scenario.outputs), "sim": scenario.sim._asdict()}
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ConfigError(f"scenario must be a JSON object, got {type(raw).__name__}")
-    known = {"label", "replications", "outputs", "burn_in", "sim"}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(Scenario._fields))
     if unknown:
         raise ConfigError(f"unknown scenario keys: {', '.join(unknown)}")
     sim_raw = raw.get("sim")
@@ -91,17 +84,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     bad = sorted(set(sim_raw) - set(SimConfig._fields))
     if bad:
         raise ConfigError(f"unknown sim keys: {', '.join(bad)}")
-    sim = SimConfig(**sim_raw)
-    outputs = raw.get("outputs", list(OUTPUT_KINDS))
-    if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        raise ConfigError("outputs must be a list of strings")
-    return Scenario(
-        sim=sim,
-        replications=raw.get("replications", 1),
-        outputs=tuple(outputs),
-        label=raw.get("label", ""),
-        burn_in=raw.get("burn_in"),
-    )
+    fields = {**raw, "sim": SimConfig(**sim_raw)}
+    if "outputs" in raw:
+        outputs = raw["outputs"]
+        if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+            raise ConfigError("outputs must be a list of strings")
+        fields["outputs"] = tuple(outputs)
+    return Scenario(**fields)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -159,8 +148,7 @@ class ReplicationOutput(NamedTuple):
 def _run_replication(args: tuple[Scenario, int]) -> ReplicationOutput:
     scenario, index = args
     config = scenario.replication_config(index)
-    state = init(config)
-    (traj,) = run_states([state])
+    ((state, traj),) = run([config])
     obs = observe(traj, state.graph)
     summary = {
         "seed": config.seed,
@@ -375,11 +363,10 @@ SWEEP_COLUMNS = (
 def _sweep_job(args: tuple[list[SimConfig], int]) -> list[tuple[float, bool, float]]:
     """One replication of one draw group, stepped together: each config's sweep figures."""
     configs, burn_in = args
-    states = init_group(configs)
-    trajs = run_states(states)
+    runs = run(configs)
     results = []
-    for state in states:
-        traj = trajs.pop(0)  # observed and released one at a time
+    while runs:
+        state, traj = runs.pop(0)  # observed and released one at a time
         obs = observe(traj, state.graph)
         results.append((
             steady_change_rate(traj, burn_in),

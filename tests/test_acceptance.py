@@ -18,7 +18,7 @@ from time import perf_counter
 
 from oracles import median_cost_oracle, mode_oracle
 
-from gossipvote.engine import init, init_group, run_states, step
+from gossipvote.engine import init, run, run_states, step
 from gossipvote.forecast import (
     _run_days,
     compare_report,
@@ -78,11 +78,10 @@ def _vote_count_arms() -> dict[int, tuple[dict[str, list[float]], str]]:
     """
     arms = {v: ({"dissent": [], "live": [], "steady": []}, []) for v in (3, 20)}
     for s in range(30):
-        states = init_group([SimConfig(
+        for state, traj in run([SimConfig(
             n=500, k=1, v=v, f=0, friend_prob=0.0, activation_prob=0.5,
             strategy="dominant", max_ticks=500, seed=1000 + s,
-        ) for v in arms])
-        for state, traj in zip(states, run_states(states)):
+        ) for v in arms]):
             rates, converged = arms[state.config.v]
             obs = observe(traj, state.graph)
             rates["dissent"].append(dissent_change_rate(obs, burn_in=50))

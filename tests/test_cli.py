@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -452,10 +453,16 @@ PUBLIC_NAMES = [
     "Comparison", "ConfigError", "DatasetError", "EvalReport", "ForecastDataset", "FriendGraph",
     "GossipParams", "Observation", "Scenario", "SimConfig", "SimState", "TickEvents", "Trajectory",
     "VARIANTS", "VariantSpec", "compare_cell", "compare_report", "convergence_tick",
-    "dissent_change_rate", "evaluate", "init", "live_change_rate", "load_dataset",
-    "load_scenario", "mae", "make_friend_graph", "observe", "parse_grid", "run_states",
+    "dissent_change_rate", "evaluate", "live_change_rate", "load_dataset",
+    "load_scenario", "mae", "make_friend_graph", "observe", "parse_grid", "run",
     "simulate_scenario", "steady_change_rate", "step", "sweep_scenario",
 ]
+
+# What a module other than the engine may import from it: the one entry point,
+# the draw-group split sweeps use to share out jobs, and the record the observer
+# reads; forecast also imports step, which the benchmark's tracer test reads there.
+ENGINE_IMPORTS = {"run", "draw_groups", "Trajectory"}
+FORECAST_ENGINE_IMPORTS = {"step"}
 
 
 class TestPackageExports:
@@ -479,8 +486,7 @@ class TestPackageExports:
         from gossipvote.scenario import ReplicationOutput
 
         config = gv.SimConfig(n=6, k=1, v=2, max_ticks=3, seed=1)
-        state = gv.init(config)
-        (traj,) = gv.run_states([state])
+        ((state, traj),) = gv.run([config])
         records = [
             config, gv.Scenario(sim=config), traj, traj.events[0], gv.observe(traj, state.graph),
             ReplicationOutput(0, {}, None, None),
@@ -504,9 +510,42 @@ class TestPackageExports:
         with pytest.raises(ImportError):
             exec("from gossipvote import no_such_name", {})
 
-    @pytest.mark.parametrize("name", ["KnowledgeValue", "run_variant", "save_scenario"])
+    @pytest.mark.parametrize(
+        "name", ["KnowledgeValue", "run_variant", "save_scenario", "init", "run_states"])
     def test_removed_names_are_attribute_errors(self, name):
         import gossipvote
 
         with pytest.raises(AttributeError, match=name):
             getattr(gossipvote, name)
+
+    def test_only_the_engine_builds_runs(self):
+        """No module or script but the engine imports more of it than ENGINE_IMPORTS,
+        directly or through the package, so none builds a state or shares a draw."""
+        import gossipvote
+
+        sources = [*sorted((REPO_ROOT / "src" / "gossipvote").glob("*.py")),
+                   *sorted((REPO_ROOT / "scripts").glob("*.py"))]
+        assert len(sources) > 10
+        imported: dict[str, set[str]] = {}
+        for path in sources:
+            if path.name == "engine.py":
+                continue
+            names = imported.setdefault(path.name, set())
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    assert "gossipvote.engine" not in [alias.name for alias in node.names], path
+                elif isinstance(node, ast.ImportFrom):
+                    module = ("." * node.level) + (node.module or "")
+                    aliases = {alias.name for alias in node.names}
+                    assert "engine" not in aliases or module not in (".", "gossipvote"), path
+                    if module in (".engine", "gossipvote.engine"):
+                        names |= aliases
+                    elif module == "gossipvote":  # the package's names that the engine defines
+                        names |= {name for name in aliases
+                                  if gossipvote._MODULE_OF.get(name) == "engine"}
+        for name, names in imported.items():
+            allowed = ENGINE_IMPORTS | (FORECAST_ENGINE_IMPORTS if name == "forecast.py" else set())
+            assert names <= allowed, (name, names - allowed)
+        # the parse finds the imports it guards
+        assert imported["scenario.py"] == {"run", "draw_groups"}
+        assert imported["forecast.py"] == {"run", "step"}

@@ -18,7 +18,7 @@ from gossipvote.engine import (
     draw_key,
     draw_sends,
     init,
-    init_group,
+    run,
     run_states,
     step,
 )
@@ -292,6 +292,14 @@ def _rebuilt(state: SimState, **changes) -> SimState:
     return SimState(**{**fields, **changes})
 
 
+def _group(configs: list[SimConfig]) -> list[SimState]:
+    """One draw group's fresh states as engine.run builds them, for tests that edit a
+    member before run_states steps it: the lead's graph and initial values, and each
+    other member's own copy of the lead's values, inboxes and RNG."""
+    lead = init(configs[0])
+    return [lead] + [_copy(lead, config=config) for config in configs[1:]]
+
+
 def _unanimous(state: SimState) -> SimState:
     """The state with every value 0; a new state, so that its settled latch is set."""
     return _rebuilt(state, values=[0] * state.config.n)
@@ -309,7 +317,7 @@ class TestLockstep:
     @settings(max_examples=120, deadline=None)
     def test_run_states_equals_lone_runs_bit_for_bit(self, case):
         configs, absorber = case
-        states = init_group(configs)
+        states = _group(configs)
         lone = [init(config) for config in configs]
         if absorber is not None:
             states[absorber] = _unanimous(states[absorber])
@@ -326,8 +334,7 @@ class TestLockstep:
         base = SimConfig(n=4, k=1, f=0, activation_prob=0.9, max_ticks=40, seed=seed)
         configs = [base._replace(v=1, include_self=False),
                    base._replace(v=3, strategy="consensus")]
-        states = init_group(configs)
-        trajs = run_states(states)
+        states, trajs = zip(*run(configs))
         assert (len(trajs[0].events), len(trajs[1].events)) == ticks
         for config, state, traj in zip(configs, states, trajs):
             alone = init(config)
@@ -341,9 +348,8 @@ class TestLockstep:
         for config in configs:
             alone = init(config)
             lone.append([step(alone) for _ in range(10)])
-        states = init_group(configs)
         drawn = _count_draws(monkeypatch)
-        trajs = run_states(states)
+        states, trajs = zip(*run(configs))
         drawn_from = [state.rng for state in drawn]
         assert len(drawn_from) == 10  # one draw per tick for the whole group
         assert all(rng is drawn_from[0] for rng in drawn_from)
@@ -365,14 +371,14 @@ class TestLockstep:
 
     def test_a_follower_with_another_rng_state_is_refused(self):
         base = SimConfig(n=12, k=2, f=3, friend_prob=0.5, seed=4)
-        states = init_group([base, base._replace(v=5)])
+        states = _group([base, base._replace(v=5)])
         states[1].rng.random()
         with pytest.raises(ValueError, match="RNG state"):
             run_states(states)
 
     def test_a_group_reports_a_friendless_sender_as_a_lone_run_does(self):
         base = SimConfig(n=2, k=1, f=1, friend_prob=0.4, activation_prob=1.0, seed=0)
-        states = init_group([base, base._replace(v=2)])
+        states = _group([base, base._replace(v=2)])
         graph = FriendGraph([[], []])
         for state in states:
             state.graph = graph
@@ -416,12 +422,104 @@ class TestDrawKey:
         assert draw_groups([mixed, self.BASE, mixed]) == [[0], [1], [2]]
 
 
-def _copy(state: SimState) -> SimState:
-    """An independent copy: its own values, inboxes and RNG."""
+@st.composite
+def run_cases(draw) -> list[SimConfig]:
+    """Shuffled configs, mixed and not, on one or two seeds, some differing in k,
+    friend_prob or max_ticks, so that several draw groups share a graph key."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    symmetric = draw(st.booleans())
+    f = draw(st.integers(min_value=0, max_value=n - 1))
+    if symmetric and (n * f) % 2:
+        f -= 1
+    base = SimConfig(
+        n=n, k=draw(st.integers(min_value=0, max_value=3)), f=f, friend_prob=0.5 if f else 0.0,
+        activation_prob=draw(st.floats(min_value=0.1, max_value=1.0)),
+        symmetric_friends=symmetric, max_ticks=draw(st.integers(min_value=1, max_value=25)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 2)),
+    )
+    members = draw(st.lists(st.fixed_dictionaries({
+        "v": st.integers(min_value=1, max_value=5),
+        "include_self": st.booleans(),
+        "strategy": st.sampled_from(["dominant", "consensus", "mixed"]),
+        "mixed_consensus_prob": st.sampled_from([0.0, 0.5, 1.0]),
+        "k": st.sampled_from([base.k, base.k + 1]),
+        "friend_prob": st.sampled_from([0.5, 1.0] if f else [0.0]),
+        "max_ticks": st.sampled_from([base.max_ticks, base.max_ticks + 7]),
+        "seed": st.sampled_from([base.seed, base.seed + 1]),
+    }), min_size=1, max_size=6))
+    return draw(st.permutations([base._replace(**member) for member in members]))
+
+
+def _graph_key(config: SimConfig) -> tuple:
+    return config.seed, config.n, config.f, config.symmetric_friends
+
+
+def _assert_lone_runs(configs: list[SimConfig], results, values: list[int] | None = None):
+    """Each of run's results is its config's lone run, init then run_states."""
+    assert len(results) == len(configs)
+    for config, (state, traj) in zip(configs, results):
+        assert state.config == traj.config == config
+        alone = init(config, values)
+        _assert_same_run(traj, state, run_states([alone])[0], alone)
+
+
+class TestRunConfigs:
+    @given(configs=run_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_each_run_equals_its_lone_run_with_one_graph_per_graph_key(self, configs):
+        drawn: list[SimConfig] = []
+
+        def counted_draw_graph(config):
+            drawn.append(config)
+            return draw_graph(config)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "draw_graph", counted_draw_graph)
+            results = run(configs)
+        assert sorted(map(_graph_key, drawn)) == sorted({_graph_key(c) for c in configs})
+        _assert_lone_runs(configs, results)
+
+    def test_equal_graph_keys_share_the_graph_but_not_the_initial_values(self):
+        one = SimConfig(n=20, k=1, f=3, friend_prob=0.5, max_ticks=30, seed=9)
+        configs = [one, one._replace(k=2)]
+        results = run(configs)
+        (first, first_traj), (second, second_traj) = results
+        assert first.graph is second.graph
+        assert first_traj.initial != second_traj.initial
+        _assert_lone_runs(configs, results)
+
+    def test_given_values_draw_nothing_before_tick_1(self, monkeypatch):
+        base = SimConfig(n=6, k=3, f=2, friend_prob=0.5, max_ticks=20, seed=4)
+        configs = [base, base._replace(v=2), base._replace(max_ticks=9),
+                   base._replace(strategy="mixed", mixed_consensus_prob=0.5)]
+        values = [3, 0, 1, 2, 2, 0]
+        started: list[tuple] = []
+
+        def recorded_run_states(states):
+            started.extend(state.rng.getstate() for state in states)
+            return run_states(states)
+
+        monkeypatch.setattr(engine, "run_states", recorded_run_states)
+        results = run(configs, values)
+        assert started == [draw_graph(base)[1].getstate()] * len(configs)
+        assert [traj.initial for _, traj in results] == [tuple(values)] * len(configs)
+        _assert_lone_runs(configs, results, values)
+
+    def test_given_values_must_fit_every_config(self):
+        base = SimConfig(n=3, k=2, seed=0)
+        with pytest.raises(ValueError, match=r"need 3 initial values in 0\.\.1"):
+            run([base, base._replace(k=1)], [2, 0, 1])
+
+    def test_no_configs_no_runs(self):
+        assert run([]) == []
+
+
+def _copy(state: SimState, **changes) -> SimState:
+    """An independent copy, with some fields changed: its own values, inboxes and RNG."""
     rng = random.Random()
     rng.setstate(state.rng.getstate())
     return _rebuilt(state, values=list(state.values),
-                    inboxes=[list(inbox) for inbox in state.inboxes], rng=rng)
+                    inboxes=[list(inbox) for inbox in state.inboxes], rng=rng, **changes)
 
 
 def _full_step(state: SimState, sends=None):
@@ -564,7 +662,7 @@ class TestSettled:
         configs = [base, base._replace(v=5, strategy="consensus"),
                    base._replace(v=2, include_self=False)]
         drawn = _count_draws(monkeypatch)
-        trajs = run_states(init_group(configs))
+        trajs = [traj for _, traj in run(configs)]
         assert [_settle_tick(traj) for traj in trajs] == [34, 70, 16]
         assert len(drawn) == 70
         assert [len(traj.events) for traj in trajs] == [120] * 3
@@ -585,14 +683,13 @@ class TestSettled:
         base = SimConfig(n=12, k=2, f=0, activation_prob=0.8, max_ticks=40, seed=seed)
         configs = [base._replace(v=1, include_self=False),
                    base._replace(v=5, strategy="consensus")]
-        states = init_group(configs)
-        trajs = run_states(states)
+        states, trajs = zip(*run(configs))
         settled_at: list[int | None] = []
         for config, state, traj in zip(configs, states, trajs):
             alone = init(config)
             events, settled = [], None
             for tick in range(1, config.max_ticks + 1):
-                if alone.is_absorbing():
+                if alone.settled and not any(alone.inboxes):  # absorbing
                     break
                 events.append(step(alone))
                 if alone.settled and settled is None:
@@ -609,7 +706,7 @@ class TestSettled:
     @settings(max_examples=80, deadline=None)
     def test_groups_equal_lone_runs_on_the_full_path(self, case):
         configs, absorber = case
-        states = init_group(configs)
+        states = _group(configs)
         lone = [init(config) for config in configs]
         if absorber is not None:
             states[absorber] = _unanimous(states[absorber])

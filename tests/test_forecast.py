@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gossipvote import forecast as forecast_module
+from gossipvote import engine
 from gossipvote.engine import init, step
 from gossipvote.forecast import (
     ACTIVATION_PROB,
@@ -257,7 +257,7 @@ def _unshared_run_variant(data: ForecastDataset, spec: VariantSpec, seed: int) -
             )
             state = init(config, values=shifted)
             for _ in range(params.gossip_ticks):
-                if state.is_absorbing():
+                if state.settled and not any(state.inboxes):  # absorbing
                     break
                 step(state)
             shifted = state.values
@@ -285,13 +285,13 @@ class TestSharedDays:
 
     def test_one_graph_per_day_and_distinct_friend_count(self, monkeypatch):
         data = _dataset_with_day_sizes(7)
-        draw_graph, drawn = forecast_module.draw_graph, []
+        draw_graph, drawn = engine.draw_graph, []
 
         def counting_draw_graph(config):
             drawn.append((config.seed, config.f))
             return draw_graph(config)
 
-        monkeypatch.setattr(forecast_module, "draw_graph", counting_draw_graph)
+        monkeypatch.setattr(engine, "draw_graph", counting_draw_graph)
         evaluate(data, VARIANTS, seed=0)
         friend_counts = [spec.gossip.f for spec in VARIANTS if spec.gossip is not None]
         expected = [
@@ -303,7 +303,7 @@ class TestSharedDays:
 
     def test_only_the_day_graphs_seed_an_rng(self, monkeypatch):
         # every other RNG of a day is a copy of a graph's RNG state, made without seeding
-        draw_graph, drawn, seeded = forecast_module.draw_graph, [], []
+        draw_graph, drawn, seeded = engine.draw_graph, [], []
         original_seed = random.Random.seed
 
         def counting_draw_graph(config):
@@ -314,7 +314,7 @@ class TestSharedDays:
             seeded.append(args)
             return original_seed(self, *args, **kwargs)
 
-        monkeypatch.setattr(forecast_module, "draw_graph", counting_draw_graph)
+        monkeypatch.setattr(engine, "draw_graph", counting_draw_graph)
         monkeypatch.setattr(random.Random, "seed", counting_seed)
         data = load_dataset(str(DATA_DIR / "synthetic_predictions.csv"),
                             str(DATA_DIR / "synthetic_actuals.csv"))

@@ -64,9 +64,6 @@ class Scenario(_ScenarioFields):
     def effective_burn_in(self) -> int:
         return self.sim.max_ticks // 10 if self.burn_in is None else self.burn_in
 
-    def replication_config(self, index: int) -> SimConfig:
-        return self.sim._replace(seed=self.sim.seed + index)
-
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     return {**scenario._asdict(), "outputs": list(scenario.outputs), "sim": scenario.sim._asdict()}
@@ -138,31 +135,68 @@ def metrics_csv(obs: Observation) -> str:
 # batch running
 
 
-class ReplicationOutput(NamedTuple):
-    index: int
-    summary: dict
-    trajectory_csv: str | None
-    metrics_csv: str | None
+class RunRecord(NamedTuple):
+    """One run of a batch: what simulate writes of it and what a sweep row averages."""
+
+    summary: dict  # its summary.json entry
+    gap: float  # its mean clustering gap after burn-in
+    csvs: dict[str, str]  # {output kind: text} of the CSV kinds its job asked for
 
 
-def _run_replication(args: tuple[Scenario, int]) -> ReplicationOutput:
-    scenario, index = args
-    config = scenario.replication_config(index)
-    ((state, traj),) = run([config])
-    obs = observe(traj, state.graph)
-    summary = {
-        "seed": config.seed,
-        "steady_change_rate": steady_change_rate(traj, scenario.effective_burn_in()),
-        "convergence_tick": convergence_tick(obs),
-        "final_winning_count": obs.winning_count[-1],
-        "ticks": len(traj.events),
-    }
-    return ReplicationOutput(
-        index=index,
-        summary=summary,
-        trajectory_csv=trajectory_csv(obs) if "trajectory_csv" in scenario.outputs else None,
-        metrics_csv=metrics_csv(obs) if "metrics_csv" in scenario.outputs else None,
-    )
+def _run_replication(args: tuple[list[SimConfig], int, int, tuple[str, ...]]) -> list[RunRecord]:
+    """Replication `index` of one draw group, stepped together: each config's run record.
+
+    Replication i of a config runs at its seed + i.
+    """
+    configs, index, burn_in, csv_kinds = args
+    runs = run([config._replace(seed=config.seed + index) for config in configs])
+    records = []
+    while runs:
+        state, traj = runs.pop(0)  # observed and released one at a time
+        obs = observe(traj, state.graph)
+        summary = {
+            "seed": traj.config.seed,
+            "steady_change_rate": steady_change_rate(traj, burn_in),
+            "convergence_tick": convergence_tick(obs),
+            "final_winning_count": obs.winning_count[-1],
+            "ticks": len(traj.events),
+        }
+        csvs = {kind: write(obs) for kind, write in (("trajectory_csv", trajectory_csv),
+                                                      ("metrics_csv", metrics_csv))
+                if kind in csv_kinds}
+        records.append(RunRecord(summary, _mean_gap(obs, burn_in), csvs))
+    return records
+
+
+def _mean_gap(obs: Observation, burn_in: int) -> float:
+    """Mean clustering gap over recorded ticks after burn_in.
+
+    A run absorbed at or before burn_in contributes its final tick's gap.
+    """
+    last = len(obs.winning_count) - 1
+    return _mean(obs.gaps(burn_in + 1 if last > burn_in else last, last + 1))
+
+
+def _mean(values: list[float]) -> float:
+    """np.mean of a non-empty float list, to the bit."""
+    return pairwise_sum(values) / len(values)
+
+
+def _run_batch(scenario: Scenario, configs: list[SimConfig], workers: int,
+               csv_kinds: tuple[str, ...] = ()) -> list[list[RunRecord]]:
+    """Every replication of every config: records[config][replication].
+
+    One job per draw group and replication; the configs of a group share every draw.
+    """
+    burn_in, reps = scenario.effective_burn_in(), scenario.replications
+    keys = [(group, index) for group in draw_groups(configs) for index in range(reps)]
+    jobs = [([configs[cell] for cell in group], index, burn_in, csv_kinds)
+            for group, index in keys]
+    records: list[list] = [[None] * reps for _ in configs]
+    for (group, index), group_records in zip(keys, _map_jobs(_run_replication, jobs, workers)):
+        for cell, record in zip(group, group_records):
+            records[cell][index] = record
+    return records
 
 
 _J = TypeVar("_J")
@@ -186,7 +220,9 @@ def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[
     import multiprocessing  # ~25 ms of import a lone worker skips
 
     # the default start method (fork on Linux before Python 3.14) lets a helper
-    # inherit this process's imports; this process starts no thread of its own
+    # inherit this process's imports; this process starts no thread of its own.
+    # Under forkserver or spawn a helper imports the package anew: jobs carry
+    # everything they read, so the outputs are the same bytes.
     bounds = multiprocessing.Array("q", [0, len(jobs)])  # jobs[front:back] are not taken yet
     helpers = []
     results: dict[int, _R] = {}
@@ -277,23 +313,18 @@ def _usable_cpus() -> int:
 def simulate_scenario(scenario: Scenario, out_dir: str, workers: int = 1) -> list[str]:
     """Run every replication and write the requested outputs; returns paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    jobs = [(scenario, index) for index in range(scenario.replications)]
-    results = _map_jobs(_run_replication, jobs, workers)
+    (records,) = _run_batch(scenario, [scenario.sim], workers, scenario.outputs)
     written: list[str] = []
-    for result in results:
-        if result.trajectory_csv is not None:
-            path = os.path.join(out_dir, f"trajectory_rep{result.index:03d}.csv")
-            write_atomic(path, result.trajectory_csv)
-            written.append(path)
-        if result.metrics_csv is not None:
-            path = os.path.join(out_dir, f"metrics_rep{result.index:03d}.csv")
-            write_atomic(path, result.metrics_csv)
+    for index, record in enumerate(records):
+        for kind, text in record.csvs.items():  # trajectory before metrics, as the job made them
+            path = os.path.join(out_dir, f"{kind.removesuffix('_csv')}_rep{index:03d}.csv")
+            write_atomic(path, text)
             written.append(path)
     if "summary_json" in scenario.outputs:
         payload = {
             "label": scenario.label,
             "scenario": scenario_to_dict(scenario),
-            "replications": [result.summary for result in results],
+            "replications": [record.summary for record in records],
         }
         path = os.path.join(out_dir, "summary.json")
         write_atomic(path, json_text(payload))
@@ -360,47 +391,17 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_job(args: tuple[list[SimConfig], int]) -> list[tuple[float, bool, float]]:
-    """One replication of one draw group, stepped together: each config's sweep figures."""
-    configs, burn_in = args
-    runs = run(configs)
-    results = []
-    while runs:
-        state, traj = runs.pop(0)  # observed and released one at a time
-        obs = observe(traj, state.graph)
-        results.append((
-            steady_change_rate(traj, burn_in),
-            convergence_tick(obs) is not None,
-            _mean_gap(obs, burn_in),
-        ))
-    return results
-
-
-def _mean_gap(obs: Observation, burn_in: int) -> float:
-    """Mean clustering gap over recorded ticks after burn_in.
-
-    A run absorbed at or before burn_in contributes its final tick's gap.
-    """
-    last = len(obs.winning_count) - 1
-    return _mean(obs.gaps(burn_in + 1 if last > burn_in else last, last + 1))
-
-
-def _mean(values: list[float]) -> float:
-    """np.mean of a non-empty float list, to the bit."""
-    return pairwise_sum(values) / len(values)
-
-
 def sweep_scenario(
     scenario: Scenario, grid: dict[str, list], out_dir: str, workers: int = 1
 ) -> tuple[list[dict], list[str]]:
     """Run the scenario once per grid cell; returns (rows, skipped diagnostics).
 
     Cells whose parameters violate config constraints (e.g. f > n-1) are
-    reported and skipped rather than aborting the sweep.
+    reported and skipped rather than aborting the sweep; a grid with no valid
+    cell is a ConfigError naming every cell's reason, and writes nothing.
     """
     cells = grid_cells(grid)
     configs: list[SimConfig] = []
-    kept_cells: list[dict] = []
     skipped: list[str] = []
     for cell in cells:
         overrides = dict(cell)
@@ -410,25 +411,15 @@ def sweep_scenario(
             overrides["friend_prob"] = 0.0
         try:
             configs.append(scenario.sim._replace(**overrides))
-            kept_cells.append(cell)
         except ConfigError as exc:
             skipped.append(f"skipping cell {cell!r}: {exc}")
-    burn_in = scenario.effective_burn_in()
+    if not configs:
+        raise ConfigError("no grid cell is valid: " + "; ".join(
+            line.removeprefix("skipping ") for line in skipped))
     reps = scenario.replications
-    # one job per draw group and replication; the cells of a group share every draw
-    keys = [(group, index) for group in draw_groups(configs) for index in range(reps)]
-    jobs = [
-        ([configs[cell]._replace(seed=configs[cell].seed + index) for cell in group],
-         burn_in)
-        for group, index in keys
-    ]
-    runs: dict[tuple[int, int], tuple[float, bool, float]] = {}  # (cell, replication) -> figures
-    for (group, index), figures in zip(keys, _map_jobs(_sweep_job, jobs, workers)):
-        runs.update(((cell, index), cell_figures) for cell, cell_figures in zip(group, figures))
     rows: list[dict] = []
-    for cell_index, config in enumerate(configs):
-        chunk = [runs[cell_index, index] for index in range(reps)]
-        rates = [r[0] for r in chunk]
+    for config, records in zip(configs, _run_batch(scenario, configs, workers)):
+        rates = [record.summary["steady_change_rate"] for record in records]
         mean_rate = _mean(rates)
         rows.append(
             {
@@ -442,8 +433,9 @@ def sweep_scenario(
                 # population std, as np.std computes it
                 "std_change_rate": math.sqrt(_mean([(r - mean_rate) * (r - mean_rate)
                                                     for r in rates])),
-                "convergence_fraction": sum(r[1] for r in chunk) / reps,
-                "mean_clustering_gap": _mean([r[2] for r in chunk]),
+                "convergence_fraction": sum(record.summary["convergence_tick"] is not None
+                                            for record in records) / reps,
+                "mean_clustering_gap": _mean([record.gap for record in records]),
             }
         )
     os.makedirs(out_dir, exist_ok=True)

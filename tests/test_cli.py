@@ -193,6 +193,20 @@ class TestSweepCommand:
         assert "skipping cell" in captured.err
         assert "500" in captured.err
 
+    def test_a_grid_with_no_valid_cell_is_one_error_line(self, tmp_path, capsys):
+        scenario_path = small_scenario_file(tmp_path)  # n=10, so f <= 9
+        out_dir = tmp_path / "sweep_out"
+        code = main(
+            ["sweep", "--scenario", str(scenario_path), "--grid", "f=10,11",
+             "--out", str(out_dir)]
+        )
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "no grid cell is valid", "{'f': 10}", "got f=10",
+                              "{'f': 11}", "got f=11")
+        assert not out_dir.exists()
+
     def test_unknown_grid_key(self, tmp_path, capsys):
         scenario_path = small_scenario_file(tmp_path)
         code = main(
@@ -459,7 +473,7 @@ PUBLIC_NAMES = [
 ]
 
 # What a module other than the engine may import from it: the one entry point,
-# the draw-group split sweeps use to share out jobs, and the record the observer
+# the draw-group split batches use to share out jobs, and the record the observer
 # reads; forecast also imports step, which the benchmark's tracer test reads there.
 ENGINE_IMPORTS = {"run", "draw_groups", "Trajectory"}
 FORECAST_ENGINE_IMPORTS = {"step"}
@@ -483,13 +497,13 @@ class TestPackageExports:
 
     def test_records_reject_attribute_assignment(self):
         import gossipvote as gv
-        from gossipvote.scenario import ReplicationOutput
+        from gossipvote.scenario import RunRecord
 
         config = gv.SimConfig(n=6, k=1, v=2, max_ticks=3, seed=1)
         ((state, traj),) = gv.run([config])
         records = [
             config, gv.Scenario(sim=config), traj, traj.events[0], gv.observe(traj, state.graph),
-            ReplicationOutput(0, {}, None, None),
+            RunRecord({}, 0.0, {}),
             gv.load_dataset(str(DATA_DIR / "synthetic_predictions.csv"),
                             str(DATA_DIR / "synthetic_actuals.csv")),
             gv.GossipParams(), gv.VARIANTS[-1], gv.compare_cell(1.0, 2.0),

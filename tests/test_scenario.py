@@ -7,6 +7,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -116,14 +118,6 @@ class TestScenarioConfig:
         assert small_scenario().effective_burn_in() == 4
         assert small_scenario(burn_in=9).effective_burn_in() == 9
 
-    def test_replication_configs_step_the_seed(self):
-        scenario = small_scenario()
-        assert scenario.replication_config(0).seed == 7
-        assert scenario.replication_config(3).seed == 10
-        base = scenario.sim
-        stepped = scenario.replication_config(1)
-        assert stepped == SimConfig(**{**base._asdict(), "seed": 8})
-
 
 class TestCsvRendering:
     def test_trajectory_csv_shape(self):
@@ -225,7 +219,7 @@ class TestWriteAtomic:
         with pytest.raises(OSError, match="No space"):
             simulate_scenario(scenario, str(tmp_path))
         assert [p.name for p in tmp_path.iterdir()] == ["trajectory_rep000.csv"]
-        state = init(scenario.replication_config(0))
+        state = init(scenario.sim)  # replication 0 runs at the scenario's seed
         expected = trajectory_csv(observe(run_states([state])[0], state.graph))
         assert (tmp_path / "trajectory_rep000.csv").read_bytes() == expected.encode()
 
@@ -397,6 +391,65 @@ def test_no_helper_outlives_a_fanned_out_call(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+# simulate and a sweep at workers 1 and 2 under the start method argv[1], written
+# under argv[2]; prints the start method in use and how many helpers started
+START_METHOD_RUN = """
+import multiprocessing, sys, time
+from pathlib import Path
+from gossipvote import scenario as scenario_module
+from gossipvote.model import SimConfig
+from gossipvote.scenario import Scenario, parse_grid, simulate_scenario, sweep_scenario
+
+multiprocessing.set_start_method(sys.argv[1], force=True)
+scenario_module._usable_cpus = lambda: 2  # fan out on a one-CPU host too
+take = scenario_module._take
+
+def take_after_a_helper(bounds, from_back=False):
+    # this process takes no job before a helper has taken one, so helpers run jobs
+    while from_back and bounds[0] == 0:
+        time.sleep(0.01)
+    return take(bounds, from_back)
+
+scenario_module._take = take_after_a_helper
+started = []
+real_start = multiprocessing.Process.start
+
+def start(self):
+    started.append(self)
+    real_start(self)
+
+multiprocessing.Process.start = start
+out = Path(sys.argv[2])
+sim = SimConfig(n=12, k=2, v=3, f=2, friend_prob=0.3, max_ticks=40, seed=7)
+scenario = Scenario(sim=sim, replications=3)
+for workers in (1, 2):
+    simulate_scenario(scenario, str(out / "simulate" / str(workers)), workers=workers)
+    sweep_scenario(scenario, parse_grid("v=2,3;f=1,2"), str(out / "sweep" / str(workers)),
+                   workers=workers)
+print(multiprocessing.get_start_method(), len(started))
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_fanned_out_batches_write_the_same_bytes_under_other_start_methods(tmp_path, method):
+    """Python 3.14 on Linux defaults to forkserver and macOS to spawn: a helper that
+    imports the package anew must write what this process writes."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"{method} is not available on this platform")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", START_METHOD_RUN, method, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{method} 2\n"  # one helper for simulate, one for the sweep
+    for command, files in (("simulate", 7), ("sweep", 1)):
+        serial = sorted((tmp_path / command / "1").iterdir())
+        assert len(serial) == files
+        for file in serial:
+            assert file.read_bytes() == (tmp_path / command / "2" / file.name).read_bytes()
+
+
 class TestParseGrid:
     def test_two_axis_grid(self):
         grid = parse_grid("v=3,20;f=0,20")
@@ -474,6 +527,26 @@ class TestSweep:
             grid = parse_grid(f"v={row['v']};f={row['f']}")
             alone, _ = sweep_scenario(scenario, grid, tmp_path / f"{row['v']}-{row['f']}")
             assert alone == [row]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_one_cell_sweep_reads_the_simulated_replications(self, tmp_path, workers):
+        scenario = small_scenario(replications=4)  # f=2, so no f=0 override applies
+        simulate_scenario(scenario, tmp_path / "simulate", workers=workers)
+        summary = json.loads((tmp_path / "simulate" / "summary.json").read_text())
+        reps = summary["replications"]
+        (row,), skipped = sweep_scenario(scenario, parse_grid(f"v={scenario.sim.v}"),
+                                         tmp_path / "sweep", workers=workers)
+        assert skipped == []
+        rates = [rep["steady_change_rate"] for rep in reps]
+        assert len(set(rates)) > 1  # a spread for the std to read
+        mean = scenario_module._mean(rates)
+        assert row["mean_change_rate"] == mean
+        assert row["std_change_rate"] == math.sqrt(
+            scenario_module._mean([(rate - mean) * (rate - mean) for rate in rates]))
+        assert row["convergence_fraction"] == (
+            sum(rep["convergence_tick"] is not None for rep in reps) / len(reps))
+        assert 0 < row["convergence_fraction"] < 1  # some replications converge, not all
+        assert row["replications"] == len(reps) == 4
 
     def test_zero_friend_cells_force_friend_prob_to_zero(self, tmp_path):
         # The base scenario has friend_prob=0.3; an f=0 cell must not

@@ -10,8 +10,7 @@ _EXPORTS = {
     "engine": ("SimState", "TickEvents", "Trajectory", "run", "step"),
     "forecast": (
         "VARIANTS", "Comparison", "DatasetError", "EvalReport", "ForecastDataset",
-        "GossipParams", "VariantSpec", "compare_cell", "compare_report", "evaluate",
-        "load_dataset", "mae",
+        "GossipParams", "VariantSpec", "evaluate", "load_dataset",
     ),
     "metrics": (
         "Observation", "convergence_tick", "dissent_change_rate", "live_change_rate",

@@ -70,7 +70,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_forecast(args)
-    except (KeyError, ValueError) as exc:  # ConfigError and DatasetError are ValueErrors
+    except ValueError as exc:  # ConfigError and DatasetError are ValueErrors
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .engine import run
 from .engine import step  # noqa: F401  perfbench's tracer test reads forecast.step
 from .integration import integrate
-from .model import SimConfig
+from .model import ConfigError, SimConfig
 
 # the replay layer fixes these; only v/f/friend_prob/strategy vary by variant
 ACTIVATION_PROB = 0.5
@@ -65,7 +65,8 @@ def load_dataset(predictions_path: str, actuals_path: str) -> ForecastDataset:
 
     Raises DatasetError with the offending file and line for malformed rows
     (the physical line a row ends on, so blank lines and quoted line breaks
-    count), duplicate keys, or predictions on days missing from the actuals.
+    count), duplicate keys, predictions on days missing from the actuals, or
+    an actuals file without days.
     """
     actuals: dict[str, int] = {}
     days: list[str] = []
@@ -77,6 +78,8 @@ def load_dataset(predictions_path: str, actuals_path: str) -> ForecastDataset:
             raise DatasetError(f"{actuals_path}:{line}: duplicate day {day!r}")
         actuals[day] = _parse_int(actual, actuals_path, line, "actual")
         days.append(day)
+    if not days:
+        raise DatasetError(f"{actuals_path}: no days")
 
     sources: dict[str, dict[str, int]] = {}
     columns = ("day", "source", "prediction")
@@ -119,6 +122,8 @@ def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, list[
                 yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise DatasetError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
+        except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+            raise DatasetError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def _parse_int(text: str, path: str, line: int, column: str) -> int:
@@ -181,7 +186,7 @@ def variant_by_name(name: str) -> VariantSpec:
     for spec in VARIANTS:
         if spec.name == name:
             return spec
-    raise KeyError(
+    raise ConfigError(
         f"unknown variant {name!r}; known: {', '.join(s.name for s in VARIANTS)}"
     )
 
@@ -191,31 +196,16 @@ def _run_days(
 ) -> list[dict[str, int]]:
     """Each variant's prediction per day, walking the days once for all variants."""
     runs: list[dict[str, int]] = [{} for _ in specs]
+    params = [spec.gossip for spec in specs]
     for index, day in enumerate(data.days):
         values = [pred for _, pred in data.predictions_for(day)]
         if not values:
             raise DatasetError(f"day {day!r} has an actual but no predictions")
-        for predictions, prediction in zip(runs, _integrate_day(values, specs, seed + index)):
-            predictions[day] = prediction
+        low = min(values)
+        finals = _gossip_day([value - low for value in values], params, seed + index)
+        for spec, predictions, final in zip(specs, runs, finals):
+            predictions[day] = integrate(final, None, spec.supervisor) + low
     return runs
-
-
-def _integrate_day(values: list[int], specs: Sequence[VariantSpec], seed: int) -> list[int]:
-    """Each variant's prediction for one day, the day's shift computed once."""
-    low = min(values)
-    shifted = [value - low for value in values]
-    finals = _gossip_day(shifted, [spec.gossip for spec in specs], seed)
-    return [integrate(final, None, spec.supervisor) + low for spec, final in zip(specs, finals)]
-
-
-def _gossip_config(n: int, k: int, params: GossipParams, seed: int) -> SimConfig:
-    f = min(params.f, n - 1)  # small days cannot support the full friend count
-    friend_prob = params.friend_prob if f > 0 else 0.0
-    return SimConfig(
-        n=n, k=k, v=params.v, f=f, friend_prob=friend_prob, activation_prob=ACTIVATION_PROB,
-        strategy=params.strategy, mixed_consensus_prob=params.mixed_consensus_prob,
-        include_self=INCLUDE_SELF, max_ticks=params.gossip_ticks, seed=seed,
-    )
 
 
 def _gossip_day(
@@ -229,7 +219,15 @@ def _gossip_day(
     """
     gossip = [index for index, p in enumerate(params) if p is not None and p.gossip_ticks > 0]
     n, k = len(values), max(values)
-    configs = [_gossip_config(n, k, params[index], seed) for index in gossip]
+    configs = []
+    for p in (params[index] for index in gossip):
+        f = min(p.f, n - 1)  # small days cannot support the full friend count
+        configs.append(SimConfig(
+            n=n, k=k, v=p.v, f=f, friend_prob=p.friend_prob if f > 0 else 0.0,
+            activation_prob=ACTIVATION_PROB, strategy=p.strategy,
+            mixed_consensus_prob=p.mixed_consensus_prob, include_self=INCLUDE_SELF,
+            max_ticks=p.gossip_ticks, seed=seed,
+        ))
     finals = [values] * len(params)
     for index, (state, _) in zip(gossip, run(configs, values)):
         finals[index] = state.values
@@ -318,30 +316,16 @@ def evaluate(
 
 
 def render_table(reports: list[EvalReport]) -> str:
-    """Fixed-width text table, one row per variant."""
-    headers = ("variant", "mae", "vs best src", "vs worst src", "vs avg src")
-    rows = [
-        (
-            report.variant,
-            f"{report.system_mae:.3f}",
-            report.vs_best.label,
-            report.vs_worst.label,
-            report.vs_avg.label,
-        )
+    """Fixed-width text table: a header row, a rule, then one row per variant."""
+    rows = [("variant", "mae", "vs best src", "vs worst src", "vs avg src")] + [
+        (report.variant, f"{report.system_mae:.3f}", report.vs_best.label,
+         report.vs_worst.label, report.vs_avg.label)
         for report in reports
     ]
-    widths = [
-        max(len(headers[col]), *(len(row[col]) for row in rows)) if rows else len(headers[col])
-        for col in range(len(headers))
-    ]
-    lines = [
-        "  ".join(headers[col].ljust(widths[col]) for col in range(len(headers))).rstrip()
-    ]
-    lines.append("  ".join("-" * widths[col] for col in range(len(headers))))
-    for row in rows:
-        lines.append(
-            "  ".join(row[col].ljust(widths[col]) for col in range(len(headers))).rstrip()
-        )
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+             for row in rows]
+    lines.insert(1, "  ".join("-" * width for width in widths))
     return "\n".join(lines) + "\n"
 
 

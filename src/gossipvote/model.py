@@ -110,7 +110,7 @@ class SimConfig(_SimFields):
                          inbox empty) stops a run earlier, at the start or at
                          the tick it settles; a settled run (every value and
                          queued vote equal) draws nothing from then on
-    seed                 seed for the single run RNG
+    seed                 seed for the single run RNG (>= 0)
 
     A config is an immutable NamedTuple, and config._replace(v=20) is a new
     one. A field of the wrong type (see check_field_types) or out of range
@@ -153,6 +153,8 @@ class SimConfig(_SimFields):
             )
         if self.max_ticks < 1:
             raise ConfigError(f"max_ticks must be >= 1, got {self.max_ticks}")
+        if self.seed < 0:  # random.Random(-s) seeds as random.Random(s) does
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
     @classmethod

@@ -94,7 +94,7 @@ def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path} is not {exc.encoding} text: {exc.reason}") from None

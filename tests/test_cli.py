@@ -334,6 +334,65 @@ class TestForecastCommand:
         assert "report.json" in captured.err
 
 
+def _negative_seed_scenario(tmp_path) -> tuple[list[str], str]:
+    # replications of base seed -2 would run seeds -2..2, and Random(-s) is Random(s)
+    path = tmp_path / "negative.scenario"
+    path.write_text(json.dumps({"replications": 5, "sim": {"n": 4, "seed": -2}}))
+    return ["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")], \
+        "seed must be >= 0, got -2"
+
+
+def _negative_forecast_seed(tmp_path) -> tuple[list[str], str]:
+    return ["forecast", str(DATA_DIR / "synthetic_predictions.csv"),
+            str(DATA_DIR / "synthetic_actuals.csv"), "--seed", "-3"], "seed must be >= 0, got -3"
+
+
+def _too_deep_scenario(tmp_path) -> tuple[list[str], str]:
+    path = tmp_path / "deep.scenario"
+    path.write_text("[" * 100_000)
+    return ["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")], \
+        f"{path} is not valid JSON: maximum recursion depth exceeded"
+
+
+def _oversized_csv_field(tmp_path) -> tuple[list[str], str]:
+    pred, act = tmp_path / "p.csv", tmp_path / "a.csv"
+    pred.write_text(f"day,source,prediction\nd1,{'a' * (csv.field_size_limit() + 1)},1\n")
+    act.write_text("day,actual\nd1,1\n")
+    return ["forecast", str(pred), str(act)], \
+        f"{pred}:2: field larger than field limit ({csv.field_size_limit()})"
+
+
+def _header_only_csvs(tmp_path) -> tuple[list[str], str]:
+    pred, act = tmp_path / "p.csv", tmp_path / "a.csv"
+    pred.write_text("day,source,prediction\n")
+    act.write_text("day,actual\n")
+    return ["forecast", str(pred), str(act)], f"{act}: no days"
+
+
+def _unknown_variant(tmp_path) -> tuple[list[str], str]:
+    return ["forecast", str(DATA_DIR / "synthetic_predictions.csv"),
+            str(DATA_DIR / "synthetic_actuals.csv"), "--variants", "psychic"], \
+        "unknown variant 'psychic'; known: basic-dominant, centralized-consensus, " \
+        "decentralized-consensus, decentralized-consensus-friends, " \
+        "dominant-decentralized, dominant-mixed"
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("case", [
+        _negative_seed_scenario, _negative_forecast_seed, _too_deep_scenario,
+        _oversized_csv_field, _header_only_csvs, _unknown_variant,
+    ], ids=lambda case: case.__name__.lstrip("_"))
+    def test_is_one_error_line_and_exit_1(self, tmp_path, case):
+        argv, message = case(tmp_path)
+        proc = subprocess.run([sys.executable, "-m", "gossipvote", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert_one_error_line(proc.stderr, message)
+        assert not (tmp_path / "o").exists()
+
+
 class TestBundledScenarios:
     def test_all_parse(self):
         paths = sorted(SCENARIO_DIR.glob("*.scenario"))
@@ -466,9 +525,9 @@ class TestEntryPoints:
 PUBLIC_NAMES = [
     "Comparison", "ConfigError", "DatasetError", "EvalReport", "ForecastDataset", "FriendGraph",
     "GossipParams", "Observation", "Scenario", "SimConfig", "SimState", "TickEvents", "Trajectory",
-    "VARIANTS", "VariantSpec", "compare_cell", "compare_report", "convergence_tick",
-    "dissent_change_rate", "evaluate", "live_change_rate", "load_dataset",
-    "load_scenario", "mae", "make_friend_graph", "observe", "parse_grid", "run",
+    "VARIANTS", "VariantSpec", "convergence_tick", "dissent_change_rate", "evaluate",
+    "live_change_rate", "load_dataset", "load_scenario", "make_friend_graph", "observe",
+    "parse_grid", "run",
     "simulate_scenario", "steady_change_rate", "step", "sweep_scenario",
 ]
 
@@ -497,6 +556,7 @@ class TestPackageExports:
 
     def test_records_reject_attribute_assignment(self):
         import gossipvote as gv
+        from gossipvote.forecast import compare_cell, compare_report
         from gossipvote.scenario import RunRecord
 
         config = gv.SimConfig(n=6, k=1, v=2, max_ticks=3, seed=1)
@@ -506,8 +566,8 @@ class TestPackageExports:
             RunRecord({}, 0.0, {}),
             gv.load_dataset(str(DATA_DIR / "synthetic_predictions.csv"),
                             str(DATA_DIR / "synthetic_actuals.csv")),
-            gv.GossipParams(), gv.VARIANTS[-1], gv.compare_cell(1.0, 2.0),
-            gv.compare_report(1.0, {"a": 2.0}),
+            gv.GossipParams(), gv.VARIANTS[-1], compare_cell(1.0, 2.0),
+            compare_report(1.0, {"a": 2.0}),
         ]
         for record in records:
             first = record._fields[0]
@@ -525,7 +585,8 @@ class TestPackageExports:
             exec("from gossipvote import no_such_name", {})
 
     @pytest.mark.parametrize(
-        "name", ["KnowledgeValue", "run_variant", "save_scenario", "init", "run_states"])
+        "name", ["KnowledgeValue", "run_variant", "save_scenario", "init", "run_states",
+                 "compare_cell", "compare_report", "mae"])
     def test_removed_names_are_attribute_errors(self, name):
         import gossipvote
 

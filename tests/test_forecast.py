@@ -27,7 +27,7 @@ from gossipvote.forecast import (
     variant_by_name,
 )
 from gossipvote.integration import integrate
-from gossipvote.model import SimConfig
+from gossipvote.model import ConfigError, SimConfig
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -192,7 +192,7 @@ class TestRunVariant:
             assert full_out[day] == partial_out[day]
 
     def test_unknown_variant_name(self):
-        with pytest.raises(KeyError, match="unknown variant"):
+        with pytest.raises(ConfigError, match="unknown variant"):
             variant_by_name("telepathy")
 
 

@@ -37,6 +37,7 @@ class TestSimConfigValidation:
             (dict(mixed_consensus_prob=-0.1), "mixed_consensus_prob"),
             (dict(max_ticks=0), "max_ticks"),
             (dict(n=3, f=1, symmetric_friends=True), "symmetric"),
+            (dict(seed=-7), "seed must be >= 0"),
         ],
     )
     def test_rejects_bad_fields_naming_them(self, kwargs, fragment):
@@ -77,6 +78,7 @@ class TestSimConfigValidation:
         (dict(f=500), "f must satisfy"),
         (dict(f=0), "friend_prob must be 0"),
         (dict(seed="abc"), "seed must be int"),
+        (dict(seed=-1), "seed must be >= 0"),
     ])
     def test_replace_is_checked_as_construction_is(self, changes, fragment):
         config = SimConfig(f=2, friend_prob=0.5)

@@ -24,10 +24,10 @@ settles.
 Apart from those mixed coins, no draw depends on values, v, include_self or
 the operator, so runs that differ only there (equal draw_key) draw the same
 friend graph, initial values and sends. run, the one entry point, builds
-every run and steps each such draw group together in run_states: each tick's
-sends are drawn once, while some member is unsettled, and delivered to every
-unsettled member, which still takes its own step per tick with the TickEvents
-of a lone run.
+every run through init, drawing each friend graph once, and steps each such
+draw group together in run_states: each tick's sends are drawn once, while
+some member is unsettled, and delivered to every unsettled member, which
+still takes its own step per tick with the TickEvents of a lone run.
 
 A state is settled once every agent holds one value w and every queued vote
 is w: no operator can change a value from then on. step latches that after
@@ -131,16 +131,6 @@ class Trajectory(NamedTuple):
     config: SimConfig
 
 
-def draw_graph(config: SimConfig) -> tuple[FriendGraph, random.Random]:
-    """A run's friend graph and its RNG, standing just after the graph's draws.
-
-    The graph is the first thing the run RNG draws, so it depends only on
-    seed, n, f and symmetric_friends.
-    """
-    rng = random.Random(config.seed)
-    return make_friend_graph(config.n, config.f, rng, symmetric=config.symmetric_friends), rng
-
-
 def rng_at(rng_state: tuple) -> random.Random:
     """A new RNG standing at rng_state (a getstate() result).
 
@@ -152,25 +142,29 @@ def rng_at(rng_state: tuple) -> random.Random:
     return rng
 
 
-def init(
-    config: SimConfig,
-    values: list[int] | None = None,
-    drawn: tuple[FriendGraph, random.Random] | None = None,
-) -> SimState:
+def init(config: SimConfig, values: list[int] | None = None,
+         graphs: dict[tuple, tuple[FriendGraph, tuple]] | None = None) -> SimState:
     """Fresh state from a config: friend graph first, then uniform initial values.
 
-    Given values (one per agent, in 0..k) draw nothing. The draw order
-    (graph, then one value per agent in id order) is part of the replay contract.
-    drawn is draw_graph(config)'s result, or an equal graph with an RNG in an
-    equal state, for callers that share one graph between runs.
+    The draw order (graph, then one value per agent in id order) is part of
+    the replay contract; given values (one int per agent, in 0..k) draw
+    nothing. graphs maps a graph key (seed, n, f and symmetric_friends, all
+    the graph's draws depend on) to its graph and the RNG state after it: a
+    hit reuses the graph and copies the state, a miss draws and stores both.
     """
-    graph, rng = draw_graph(config) if drawn is None else drawn
+    key = (config.seed, config.n, config.f, config.symmetric_friends)
+    if graphs is not None and key in graphs:
+        graph, rng = graphs[key][0], rng_at(graphs[key][1])
+    else:
+        rng = random.Random(config.seed)
+        graph = make_friend_graph(config.n, config.f, rng, symmetric=config.symmetric_friends)
+        if graphs is not None:
+            graphs[key] = graph, rng.getstate()
     if values is None:
         values = [rng.randint(0, config.k) for _ in range(config.n)]
-    elif len(values) != config.n or not all(0 <= value <= config.k for value in values):
+    elif len(values) != config.n or not all(type(x) is int and 0 <= x <= config.k for x in values):
         raise ValueError(f"need {config.n} initial values in 0..{config.k}")
-    inboxes: list[list[int]] = [[] for _ in range(config.n)]
-    return SimState(config=config, values=list(values), inboxes=inboxes, graph=graph, rng=rng)
+    return SimState(config, list(values), [[] for _ in range(config.n)], graph, rng)
 
 
 def draw_key(config: SimConfig) -> tuple | None:
@@ -205,6 +199,8 @@ def draw_sends(state: SimState) -> list[tuple[int, int]]:
 
     Senders ascend; each activated agent picks one target. The draws depend
     on the state's config, graph and RNG, never on its values or inboxes.
+    With friend_prob > 0 a draw raises ValueError before its first coin if
+    any agent has no friend, whether or not that agent would activate.
     """
     cfg, rng = state.config, state.rng
     n = cfg.n
@@ -216,25 +212,24 @@ def draw_sends(state: SimState) -> list[tuple[int, int]]:
         return sends
     add = sends.append
     adjacency = state.graph.adjacency
+    if friend_prob > 0.0 and not all(adjacency):
+        raise ValueError(f"friend_prob={friend_prob} needs a non-empty friend list "
+                         f"(agent {adjacency.index([])} has none)")
     # uniform picks below m draw exactly as rng.randrange(m) does
     others = n - 1
     others_bits = others.bit_length()
     for sender in range(n):
         if rand() >= activation:
             continue
-        if friend_prob > 0.0:
+        if friend_prob > 0.0 and rand() < friend_prob:
             pool = adjacency[sender]
-            if not pool:
-                raise ValueError(f"friend_prob={friend_prob} needs a non-empty friend list "
-                                 f"(agent {sender} has none)")
-            if rand() < friend_prob:
-                m = len(pool)
-                bits = m.bit_length()
+            m = len(pool)
+            bits = m.bit_length()
+            pick = getrandbits(bits)
+            while pick >= m:
                 pick = getrandbits(bits)
-                while pick >= m:
-                    pick = getrandbits(bits)
-                add((sender, pool[pick]))
-                continue
+            add((sender, pool[pick]))
+            continue
         pick = getrandbits(others_bits)
         while pick >= others:
             pick = getrandbits(others_bits)
@@ -338,30 +333,16 @@ def run(configs: Sequence[SimConfig], values: list[int] | None = None,
     """Every config's run to its horizon: its end state and trajectory, in config order.
 
     Each result is exactly what the config's lone run (init, then run_states)
-    gives, but shared draws are made once: a friend graph once per graph key
-    (seed, n, f and symmetric_friends, which its draws depend on), the
-    initial values once per draw group (see draw_key), and each tick's sends
-    once per group, which run_states steps together. Groups with one graph
-    key but another k draw their own initial values from a copy of the RNG
-    state after the graph. Given values (one per agent, in 0..k of every
-    config) draw nothing before tick 1.
+    gives, but shared draws are made once: init builds every state with one
+    graphs dict, so each friend graph is drawn once, and run_states draws each
+    tick's sends once per draw group (see draw_key). A group's members draw
+    equal initial values from equal RNG states, as the key fixes n and k.
+    Given values (one int per agent, in 0..k of every config) draw nothing.
     """
     results: list = [None] * len(configs)
-    graphs: dict[tuple, tuple[FriendGraph, tuple]] = {}  # graph key -> graph, RNG state after it
+    graphs: dict[tuple, tuple[FriendGraph, tuple]] = {}
     for group in draw_groups(configs):
-        lead = configs[group[0]]
-        key = (lead.seed, lead.n, lead.f, lead.symmetric_friends)
-        if key in graphs:
-            graph, rng_state = graphs[key]
-            drawn = graph, rng_at(rng_state)
-        else:
-            drawn = draw_graph(lead)
-            graphs[key] = drawn[0], drawn[1].getstate()
-        states = [init(lead, values, drawn)]
-        if len(group) > 1:  # the other members start from copies of the lead's start
-            rng_state = states[0].rng.getstate()
-            states += [init(configs[index], states[0].values, (drawn[0], rng_at(rng_state)))
-                       for index in group[1:]]
+        states = [init(configs[index], values, graphs) for index in group]
         for index, state, traj in zip(group, states, run_states(states)):
             results[index] = state, traj
     return results

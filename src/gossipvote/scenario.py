@@ -360,9 +360,12 @@ def parse_grid(text: str) -> dict[str, list]:
         for chunk in values_text.split(","):
             chunk = chunk.strip()
             try:
-                values.append(float(chunk) if key == "friend_prob" else int(chunk))
+                value = float(chunk) if key == "friend_prob" else int(chunk)
             except ValueError:
                 raise ConfigError(f"bad value {chunk!r} for grid key {key!r}") from None
+            if value in values:
+                raise ConfigError(f"duplicate value {chunk!r} for grid key {key!r}")
+            values.append(value)
         grid[key] = values
     if not grid:
         raise ConfigError("empty grid")

@@ -207,6 +207,19 @@ class TestSweepCommand:
                               "{'f': 11}", "got f=11")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("grid, chunk", [("v=3,3", "'3'"),
+                                             ("friend_prob=0.4,0.40;f=2", "'0.40'")])
+    def test_a_repeated_grid_value_is_one_error_line(self, tmp_path, capsys, grid, chunk):
+        scenario_path = small_scenario_file(tmp_path)
+        out_dir = tmp_path / "sweep_out"
+        code = main(["sweep", "--scenario", str(scenario_path), "--grid", grid,
+                     "--out", str(out_dir)])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, f"duplicate value {chunk}")
+        assert not out_dir.exists()
+
     def test_unknown_grid_key(self, tmp_path, capsys):
         scenario_path = small_scenario_file(tmp_path)
         code = main(

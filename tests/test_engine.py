@@ -13,7 +13,6 @@ from gossipvote.engine import (
     SETTLED,
     SimState,
     Trajectory,
-    draw_graph,
     draw_groups,
     draw_key,
     draw_sends,
@@ -22,7 +21,7 @@ from gossipvote.engine import (
     run_states,
     step,
 )
-from gossipvote.model import FriendGraph, SimConfig
+from gossipvote.model import FriendGraph, SimConfig, make_friend_graph
 
 
 def small_configs() -> st.SearchStrategy[SimConfig]:
@@ -102,13 +101,18 @@ class TestInit:
         assert given.rng.getstate() == drawn.rng.getstate()
 
     def test_a_drawn_graph_continues_the_same_stream(self):
+        # a graph stored by one init continues the same stream in the next
         config = SimConfig(n=9, k=3, f=4, friend_prob=0.5, seed=12)
-        fresh, continued = init(config), init(config, drawn=draw_graph(config))
+        graphs: dict = {}
+        first = init(config, graphs=graphs)
+        fresh, continued = init(config), init(config, graphs=graphs)
+        assert continued.graph is first.graph
         assert continued.graph == fresh.graph
         assert continued.values == fresh.values
         assert continued.rng.getstate() == fresh.rng.getstate()
 
-    @pytest.mark.parametrize("values", [[0, 1], [0, 1, 2], [0, 1, -1]])
+    @pytest.mark.parametrize("values", [[0, 1], [0, 1, 2], [0, 1, -1], [0.5, 1, 0],
+                                        [True, False, True], ["0", 1, 0]])
     def test_given_values_must_fit_the_config(self, values):
         with pytest.raises(ValueError, match="initial values"):
             init(SimConfig(n=3, k=1, seed=0), values=values)
@@ -294,10 +298,9 @@ def _rebuilt(state: SimState, **changes) -> SimState:
 
 def _group(configs: list[SimConfig]) -> list[SimState]:
     """One draw group's fresh states as engine.run builds them, for tests that edit a
-    member before run_states steps it: the lead's graph and initial values, and each
-    other member's own copy of the lead's values, inboxes and RNG."""
-    lead = init(configs[0])
-    return [lead] + [_copy(lead, config=config) for config in configs[1:]]
+    member before run_states steps it: each built by init with one graphs dict."""
+    graphs: dict = {}
+    return [init(config, graphs=graphs) for config in configs]
 
 
 def _unanimous(state: SimState) -> SimState:
@@ -467,16 +470,18 @@ class TestRunConfigs:
     @given(configs=run_cases())
     @settings(max_examples=150, deadline=None)
     def test_each_run_equals_its_lone_run_with_one_graph_per_graph_key(self, configs):
-        drawn: list[SimConfig] = []
+        drawn: list[tuple] = []  # the graph key of every graph drawn
+        # a graph is its run RNG's first draw, so the RNG's state names the seed
+        seed_at = {random.Random(config.seed).getstate(): config.seed for config in configs}
 
-        def counted_draw_graph(config):
-            drawn.append(config)
-            return draw_graph(config)
+        def counted_make_friend_graph(n, f, rng, symmetric=False):
+            drawn.append((seed_at[rng.getstate()], n, f, symmetric))
+            return make_friend_graph(n, f, rng, symmetric=symmetric)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "draw_graph", counted_draw_graph)
+            patch.setattr(engine, "make_friend_graph", counted_make_friend_graph)
             results = run(configs)
-        assert sorted(map(_graph_key, drawn)) == sorted({_graph_key(c) for c in configs})
+        assert sorted(drawn) == sorted({_graph_key(c) for c in configs})
         _assert_lone_runs(configs, results)
 
     def test_equal_graph_keys_share_the_graph_but_not_the_initial_values(self):
@@ -501,7 +506,9 @@ class TestRunConfigs:
 
         monkeypatch.setattr(engine, "run_states", recorded_run_states)
         results = run(configs, values)
-        assert started == [draw_graph(base)[1].getstate()] * len(configs)
+        after_graph = random.Random(base.seed)
+        make_friend_graph(base.n, base.f, after_graph)
+        assert started == [after_graph.getstate()] * len(configs)
         assert [traj.initial for _, traj in results] == [tuple(values)] * len(configs)
         _assert_lone_runs(configs, results, values)
 
@@ -509,6 +516,12 @@ class TestRunConfigs:
         base = SimConfig(n=3, k=2, seed=0)
         with pytest.raises(ValueError, match=r"need 3 initial values in 0\.\.1"):
             run([base, base._replace(k=1)], [2, 0, 1])
+
+    @pytest.mark.parametrize("values", [[0.5, 1, 0], [True, False, True]])
+    def test_given_values_must_be_ints(self, values):
+        config = SimConfig(n=3, k=1, max_ticks=5, seed=1)
+        with pytest.raises(ValueError, match=r"need 3 initial values in 0\.\.1"):
+            run([config, config._replace(v=2)], values)
 
     def test_no_configs_no_runs(self):
         assert run([]) == []

@@ -285,13 +285,7 @@ class TestSharedDays:
 
     def test_one_graph_per_day_and_distinct_friend_count(self, monkeypatch):
         data = _dataset_with_day_sizes(7)
-        draw_graph, drawn = engine.draw_graph, []
-
-        def counting_draw_graph(config):
-            drawn.append((config.seed, config.f))
-            return draw_graph(config)
-
-        monkeypatch.setattr(engine, "draw_graph", counting_draw_graph)
+        drawn = _count_graph_draws(monkeypatch, range(len(data.days)))
         evaluate(data, VARIANTS, seed=0)
         friend_counts = [spec.gossip.f for spec in VARIANTS if spec.gossip is not None]
         expected = [
@@ -303,23 +297,35 @@ class TestSharedDays:
 
     def test_only_the_day_graphs_seed_an_rng(self, monkeypatch):
         # every other RNG of a day is a copy of a graph's RNG state, made without seeding
-        draw_graph, drawn, seeded = engine.draw_graph, [], []
+        data = load_dataset(str(DATA_DIR / "synthetic_predictions.csv"),
+                            str(DATA_DIR / "synthetic_actuals.csv"))
+        drawn, seeded = _count_graph_draws(monkeypatch, range(len(data.days))), []
         original_seed = random.Random.seed
-
-        def counting_draw_graph(config):
-            drawn.append((config.seed, config.f))
-            return draw_graph(config)
 
         def counting_seed(self, *args, **kwargs):
             seeded.append(args)
             return original_seed(self, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "draw_graph", counting_draw_graph)
         monkeypatch.setattr(random.Random, "seed", counting_seed)
-        data = load_dataset(str(DATA_DIR / "synthetic_predictions.csv"),
-                            str(DATA_DIR / "synthetic_actuals.csv"))
         evaluate(data, VARIANTS, seed=0)
         assert drawn and [args[0] for args in seeded] == [seed for seed, _ in drawn]
+
+
+def _count_graph_draws(monkeypatch, seeds) -> list[tuple[int, int]]:
+    """Route engine.make_friend_graph through a log of (seed, f) per graph drawn.
+
+    A graph is its run RNG's first draw, so the RNG's state names the seed,
+    one of seeds.
+    """
+    seed_at = {random.Random(seed).getstate(): seed for seed in seeds}
+    make_friend_graph, drawn = engine.make_friend_graph, []
+
+    def counting_make_friend_graph(n, f, rng, symmetric=False):
+        drawn.append((seed_at[rng.getstate()], f))
+        return make_friend_graph(n, f, rng, symmetric=symmetric)
+
+    monkeypatch.setattr(engine, "make_friend_graph", counting_make_friend_graph)
+    return drawn
 
 
 class TestMae:

@@ -256,6 +256,17 @@ class TestSelectTarget:
         with pytest.raises(ValueError, match=message):
             step(state)
 
+    def test_rejects_a_friendless_agent_before_any_coin_even_if_it_never_activates(self):
+        # with activation 1e-9 no agent activates, yet the first draw names agent 2
+        config = SimConfig(n=3, k=2, f=1, friend_prob=0.4, activation_prob=1e-9, seed=3)
+        state = init(config, values=[0, 1, 2])
+        state.graph = FriendGraph([[1], [0], []])
+        before = state.rng.getstate()
+        with pytest.raises(ValueError, match=r"\(agent 2 has none\)$"):
+            step(state)
+        assert state.rng.getstate() == before
+        assert state.inboxes == [[], [], []]
+
     def test_friend_hit_frequency_matches_mixture(self):
         # friends can also be hit through the uniform branch:
         # P(hit) = 0.4 + 0.6 * 20/499, checked to three standard errors

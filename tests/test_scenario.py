@@ -475,6 +475,12 @@ class TestParseGrid:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_grid("v=1;v=2")
 
+    @pytest.mark.parametrize("text, chunk", [("v=3,3", "'3'"), ("v=3,03", "'03'"),
+                                             ("friend_prob=0.4,0.40;f=2", "'0.40'")])
+    def test_duplicate_value(self, text, chunk):
+        with pytest.raises(ConfigError, match=f"duplicate value {chunk} for grid key"):
+            parse_grid(text)
+
     def test_bad_value(self):
         with pytest.raises(ConfigError, match="value"):
             parse_grid("v=three")

@@ -21,13 +21,15 @@ random.Random.randrange draws it; then one coin per mixed integration. A
 settled state (below) draws nothing, so a run's draws end at the tick it
 settles.
 
-Apart from those mixed coins, no draw depends on values, v, include_self or
-the operator, so runs that differ only there (equal draw_key) draw the same
-friend graph, initial values and sends. run, the one entry point, builds
-every run through init, drawing each friend graph once, and steps each such
-draw group together in run_states: each tick's sends are drawn once, while
-some member is unsettled, and delivered to every unsettled member, which
-still takes its own step per tick with the TickEvents of a lone run.
+Draw groups. Apart from those mixed coins, no draw depends on values, v,
+include_self or the operator, so runs with equal draw_key (a mixed run has
+none) draw the same friend graph, initial values and sends: they form a draw
+group, which shares its draws, not its state. run builds every member through
+init with one graphs dict, so each friend graph is drawn once, and run_states
+draws each tick's sends once, from a private copy of the group's RNG, while
+some member is unsettled, and delivers them to every unsettled member. Each
+member still takes its own step per tick, so it ends with the events, values
+and RNG state of its lone run.
 
 A state is settled once every agent holds one value w and every queued vote
 is w: no operator can change a value from then on. step latches that after
@@ -168,16 +170,11 @@ def init(config: SimConfig, values: list[int] | None = None,
 
 
 def draw_key(config: SimConfig) -> tuple | None:
-    """The config fields a run's draws depend on, or None for a run that shares none.
+    """The config fields a run's draws depend on (see the module docstring), or None.
 
-    Runs with equal keys draw the same friend graph, initial values and
-    per-tick sends, whatever their v, include_self and (non-mixed) strategy,
-    so they can step together on one draw sequence. "mixed" draws one coin
-    per integration from the same stream, between one tick's sends and the
-    next's. A tick's integrations depend only on its sends and v, not on the
-    values, but members of a group may differ in v, and then their coin
-    counts and every later send would part; so a mixed run never shares its
-    draws.
+    A mixed run gets None and shares nothing: its coins sit in the send
+    stream, one per integration, and members of a group may differ in v, so
+    their coin counts and every later send would part.
     """
     if config.strategy == "mixed":
         return None
@@ -194,24 +191,23 @@ def draw_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
-def draw_sends(state: SimState) -> list[tuple[int, int]]:
+def draw_sends(config: SimConfig, graph: FriendGraph, rng: random.Random) -> list[tuple[int, int]]:
     """Phase 1: one tick's (sender, target) pairs, its only draws apart from mixed coins.
 
     Senders ascend; each activated agent picks one target. The draws depend
-    on the state's config, graph and RNG, never on its values or inboxes.
+    on the config, graph and RNG, never on a state's values or inboxes.
     With friend_prob > 0 a draw raises ValueError before its first coin if
     any agent has no friend, whether or not that agent would activate.
     """
-    cfg, rng = state.config, state.rng
-    n = cfg.n
+    n = config.n
     rand, getrandbits = rng.random, rng.getrandbits
-    activation, friend_prob = cfg.activation_prob, cfg.friend_prob
+    activation, friend_prob = config.activation_prob, config.friend_prob
     sends: list[tuple[int, int]] = []
     if n == 1:
         rand()  # the activation coin is still consumed; nobody to message
         return sends
     add = sends.append
-    adjacency = state.graph.adjacency
+    adjacency = graph.adjacency
     if friend_prob > 0.0 and not all(adjacency):
         raise ValueError(f"friend_prob={friend_prob} needs a non-empty friend list "
                          f"(agent {adjacency.index([])} has none)")
@@ -248,9 +244,9 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
     """
     if state.settled:
         return SETTLED
-    if sends is None:
-        sends = draw_sends(state)
     cfg = state.config
+    if sends is None:
+        sends = draw_sends(cfg, state.graph, state.rng)
     v = cfg.v
     values, inboxes = state.values, state.inboxes
     sent = len(sends)
@@ -280,17 +276,14 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
     """Run states to their horizon, one trajectory each, as each would run alone.
 
     A lone state draws from its own RNG, mixed coins included. Several states
-    are one draw group: they must share a draw key (see draw_key), a friend
-    graph and an RNG state, and each tick's sends are drawn once, from a
-    private copy of that RNG, and delivered to every unsettled member. Sends
-    are drawn only while some member is unsettled. A member that settles
-    takes the RNG state of that tick, where its lone run stops drawing, and
-    stops there if it is absorbing (an initially absorbing state takes no
-    tick); otherwise it steps on to max_ticks, one SETTLED step per tick. So
-    each member ends holding the events, values and RNG state of its lone run.
+    are one draw group (see the module docstring): they must share a draw
+    key, a friend graph and an RNG state. A member that settles takes the RNG
+    state of that tick, where its lone run stops drawing, and stops there if
+    it is absorbing (an initially absorbing state takes no tick); otherwise
+    it steps on to max_ticks, one SETTLED step per tick.
     """
     lead = states[0]
-    drawer = lead
+    rng = lead.rng
     if len(states) > 1:
         key = draw_key(lead.config)
         rng_state = lead.rng.getstate()
@@ -299,8 +292,8 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
                     or state.rng.getstate() != rng_state):
                 raise ValueError("states of one draw group must share a draw key, "
                                  "a friend graph and an RNG state")
-        drawer = SimState(lead.config, lead.values, lead.inboxes, lead.graph, rng_at(rng_state))
-    handover = drawer is not lead  # a lone state is its own drawer: its RNG is already there
+        rng = rng_at(rng_state)
+    handover = rng is not lead.rng  # a lone state draws from its own RNG: nothing to hand over
     trajs = [Trajectory(tuple(state.values), [], state.config) for state in states]
     live = list(zip(states, trajs))
     drawing = sum(not state.settled for state in states)  # members whose steps read sends
@@ -311,7 +304,8 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
             if not live:
                 break
             settling = False
-        sends = draw_sends(drawer) if drawing else None  # a settled step reads no sends
+        # a settled step reads no sends
+        sends = draw_sends(lead.config, lead.graph, rng) if drawing else None
         # plain loops, not comprehensions: this runs once per tick of every run
         for state, traj in live:
             events = step(state, sends)
@@ -320,11 +314,11 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
                 drawing -= 1
                 settling = True
                 if handover:
-                    state.rng.setstate(drawer.rng.getstate())  # its lone run draws no more
-    if handover:  # an unsettled group member takes the drawer's end state
+                    state.rng.setstate(rng.getstate())  # its lone run draws no more
+    if handover:  # an unsettled group member takes the group RNG's end state
         for state, _ in live:
             if not state.settled:
-                state.rng.setstate(drawer.rng.getstate())
+                state.rng.setstate(rng.getstate())
     return trajs
 
 
@@ -333,10 +327,7 @@ def run(configs: Sequence[SimConfig], values: list[int] | None = None,
     """Every config's run to its horizon: its end state and trajectory, in config order.
 
     Each result is exactly what the config's lone run (init, then run_states)
-    gives, but shared draws are made once: init builds every state with one
-    graphs dict, so each friend graph is drawn once, and run_states draws each
-    tick's sends once per draw group (see draw_key). A group's members draw
-    equal initial values from equal RNG states, as the key fixes n and k.
+    gives, with each draw group's draws made once (see the module docstring).
     Given values (one int per agent, in 0..k of every config) draw nothing.
     """
     results: list = [None] * len(configs)

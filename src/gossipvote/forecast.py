@@ -202,7 +202,10 @@ def _run_days(
         if not values:
             raise DatasetError(f"day {day!r} has an actual but no predictions")
         low = min(values)
-        finals = _gossip_day([value - low for value in values], params, seed + index)
+        try:
+            finals = _gossip_day([value - low for value in values], params, seed + index)
+        except ConfigError as exc:  # e.g. predictions spread wider than SimConfig's k allows
+            raise ConfigError(f"day {day!r}: {exc}") from None
         for spec, predictions, final in zip(specs, runs, finals):
             predictions[day] = integrate(final, None, spec.supervisor) + low
     return runs

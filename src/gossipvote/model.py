@@ -95,7 +95,8 @@ class SimConfig(_SimFields):
     """Every parameter of one run.
 
     n                    population size
-    k                    values live in 0..k (k=0 is a legal degenerate domain)
+    k                    values live in 0..k (k=0 is a legal degenerate domain; k <= 2**63 - 1,
+                         so a changed value fits a signed 64-bit change record)
     v                    inbox size that triggers integration
     f                    friends per agent for generated graphs
     friend_prob          chance an activated agent messages a friend instead of
@@ -124,8 +125,8 @@ class SimConfig(_SimFields):
         check_field_types(self, _SimFields)
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.k < 0:
-            raise ConfigError(f"k must be >= 0, got {self.k}")
+        if not 0 <= self.k <= 2**63 - 1:
+            raise ConfigError(f"k must satisfy 0 <= k <= 2**63 - 1, got {self.k}")
         if self.v < 1:
             raise ConfigError(f"v must be >= 1, got {self.v}")
         if not 0 <= self.f <= self.n - 1:

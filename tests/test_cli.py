@@ -164,6 +164,16 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert_one_error_line(captured.err, "out of memory")
 
+    def test_a_k_above_64_bits_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "wide.scenario"
+        path.write_text(json.dumps({"sim": {"n": 5, "k": 2**65, "max_ticks": 30}}))
+        code = main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, f"k must satisfy 0 <= k <= 2**63 - 1, got {2**65}")
+        assert not (tmp_path / "o").exists()
+
 
 class TestSweepCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -192,6 +202,15 @@ class TestSweepCommand:
         assert "1 cells, 1 skipped" in captured.out
         assert "skipping cell" in captured.err
         assert "500" in captured.err
+
+    def test_a_cell_with_k_above_64_bits_is_skipped(self, tmp_path, capsys):
+        scenario_path = small_scenario_file(tmp_path)
+        code = main(["sweep", "--scenario", str(scenario_path), "--grid", f"k=1,{2**65}",
+                     "--out", str(tmp_path / "sweep_out")])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "1 cells, 1 skipped" in captured.out
+        assert "k must satisfy 0 <= k <= 2**63 - 1" in captured.err
 
     def test_a_grid_with_no_valid_cell_is_one_error_line(self, tmp_path, capsys):
         scenario_path = small_scenario_file(tmp_path)  # n=10, so f <= 9
@@ -319,6 +338,20 @@ class TestForecastCommand:
         act.write_text(headers["actuals"] + "\nd1,1\n")
         assert load_dataset(str(pred), str(act)).sources == {"a": {"d1": 1}}
 
+    def test_predictions_spread_beyond_64_bits_name_the_day(self, tmp_path, capsys):
+        # the day's k is its largest prediction minus its smallest
+        pred, act = tmp_path / "p.csv", tmp_path / "a.csv"
+        pred.write_text("day,source,prediction\nd1,a,99999999999999999999999\nd1,b,0\n")
+        act.write_text("day,actual\nd1,3\n")
+        assert main(["forecast", str(pred), str(act)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert_one_error_line(captured.err, "day 'd1': k must satisfy 0 <= k <= 2**63 - 1")
+        # variants without gossip build no run, so no k bounds them
+        argv = ["forecast", str(pred), str(act), "--variants",
+                "basic-dominant,centralized-consensus"]
+        assert main(argv) == EXIT_OK
+
     def test_duplicate_variant_names(self, capsys):
         code = main(
             ["forecast", str(DATA_DIR / "synthetic_predictions.csv"),
@@ -403,6 +436,48 @@ class TestMalformedInputs:
         assert proc.returncode == EXIT_INVALID, proc.stderr
         assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert_one_error_line(proc.stderr, message)
+        assert not (tmp_path / "o").exists()
+
+
+def _forecast_files(tmp_path, predictions: str = "d1,a,1\n", actuals: str = "d1,1\n"):
+    pred, act = tmp_path / "p.csv", tmp_path / "a.csv"
+    pred.write_text("day,source,prediction\n" + predictions)
+    act.write_text("day,actual\n" + actuals)
+    return ["forecast", str(pred), str(act)]
+
+
+def _empty_day(tmp_path) -> tuple[list[str], str]:
+    return _forecast_files(tmp_path, actuals=" ,3\n"), f"{tmp_path / 'a.csv'}:2: empty day"
+
+
+def _empty_source(tmp_path) -> tuple[list[str], str]:
+    return _forecast_files(tmp_path, "d1, ,1\n"), f"{tmp_path / 'p.csv'}:2: empty source"
+
+
+def _extra_field(tmp_path) -> tuple[list[str], str]:
+    return _forecast_files(tmp_path, "d1,a,1,9\n"), \
+        f"{tmp_path / 'p.csv'}:2: wrong number of fields"
+
+
+def _no_variant_names(tmp_path) -> tuple[list[str], str]:
+    return [*_forecast_files(tmp_path), "--variants", " , "], \
+        "--variants given but no variant names found"
+
+
+def _grid_entry_without_values(tmp_path) -> tuple[list[str], str]:
+    return ["sweep", "--scenario", str(small_scenario_file(tmp_path)), "--grid", "v3",
+            "--out", str(tmp_path / "o")], "grid entry 'v3' must look like key=v1,v2,..."
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("case", [
+        _empty_day, _empty_source, _extra_field, _no_variant_names, _grid_entry_without_values,
+    ], ids=lambda case: case.__name__.lstrip("_"))
+    def test_is_exactly_one_error_line(self, tmp_path, capsys, case):
+        argv, message = case(tmp_path)
+        assert main(argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not (tmp_path / "o").exists()
 
 

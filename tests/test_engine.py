@@ -135,6 +135,12 @@ class TestStep:
         assert state.values == [1, 0]
         assert events.changed == 2
 
+    def test_the_largest_k_fits_the_change_record(self):
+        top = 2**63 - 1  # SimConfig's bound on k
+        config = SimConfig(n=2, k=top, v=1, f=0, activation_prob=1.0, include_self=False)
+        state = init(config, values=[0, top])
+        assert list(step(state).changes) == [0, top, 1, 0]
+
     def test_single_agent_is_a_fixed_point_but_consumes_activation(self):
         config = SimConfig(n=1, k=1, activation_prob=1.0, max_ticks=5, seed=3)
         state = init(config)
@@ -353,10 +359,9 @@ class TestLockstep:
             lone.append([step(alone) for _ in range(10)])
         drawn = _count_draws(monkeypatch)
         states, trajs = zip(*run(configs))
-        drawn_from = [state.rng for state in drawn]
-        assert len(drawn_from) == 10  # one draw per tick for the whole group
-        assert all(rng is drawn_from[0] for rng in drawn_from)
-        assert all(drawn_from[0] is not state.rng for state in states)  # a private copy
+        assert len(drawn) == 10  # one draw per tick for the whole group
+        assert all(rng is drawn[0] for rng in drawn)
+        assert all(drawn[0] is not state.rng for state in states)  # a private copy
         assert [traj.events for traj in trajs] == lone  # every member stepped every tick
         assert all(a.sent == b.sent for a, b in zip(*lone))
 
@@ -417,7 +422,7 @@ class TestDrawKey:
         a, b = init(self.BASE), init(other)
         assert (a.graph, a.values) == (b.graph, b.values)
         for _ in range(5):
-            assert draw_sends(a) == draw_sends(b)
+            assert draw_sends(a.config, a.graph, a.rng) == draw_sends(b.config, b.graph, b.rng)
 
     def test_a_mixed_run_shares_with_nobody(self):
         mixed = self.BASE._replace(strategy="mixed", mixed_consensus_prob=0.5)
@@ -547,13 +552,13 @@ def _is_settled(state: SimState) -> bool:
             and all(vote == w for inbox in state.inboxes for vote in inbox))
 
 
-def _count_draws(monkeypatch) -> list[SimState]:
-    """Route engine.draw_sends through a log of the states it draws from; returns the log."""
-    drawn: list[SimState] = []
+def _count_draws(monkeypatch) -> list[random.Random]:
+    """Route engine.draw_sends through a log of the RNGs it draws from; returns the log."""
+    drawn: list[random.Random] = []
 
-    def counted_draw_sends(state):
-        drawn.append(state)
-        return draw_sends(state)
+    def counted_draw_sends(config, graph, rng):
+        drawn.append(rng)
+        return draw_sends(config, graph, rng)
 
     monkeypatch.setattr(engine, "draw_sends", counted_draw_sends)
     return drawn
@@ -653,7 +658,7 @@ class TestSettled:
         state = _rebuilt(init(config), values=[1] * 6,
                          inboxes=[[1, 1], [], [1], [], [1, 1], []])
         assert state.settled
-        sends = draw_sends(_copy(state))
+        sends = draw_sends(state.config, state.graph, engine.rng_at(state.rng.getstate()))
         inboxes, rng_state = [list(inbox) for inbox in state.inboxes], state.rng.getstate()
         for given in (None, sends):
             assert step(state, given) is SETTLED

@@ -44,6 +44,12 @@ class TestSimConfigValidation:
         with pytest.raises(ConfigError, match=fragment):
             SimConfig(**kwargs)
 
+    def test_k_is_at_most_the_largest_signed_64_bit_int(self):
+        assert SimConfig(k=2**63 - 1).k == 2**63 - 1
+        message = rf"k must satisfy 0 <= k <= 2\*\*63 - 1, got {2**63}$"
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(k=2**63)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

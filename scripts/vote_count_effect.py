@@ -43,7 +43,7 @@ def arms(
         rates = (
             dissent_change_rate(obs, burn_in),
             live_change_rate(obs, burn_in),
-            steady_change_rate(traj, burn_in),
+            steady_change_rate(obs, burn_in),
         )
         results.append((rates, convergence_tick(obs)))
     return results

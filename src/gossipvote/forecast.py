@@ -305,6 +305,8 @@ def evaluate(
     data: ForecastDataset, specs: Iterable[VariantSpec] = VARIANTS, seed: int = 0
 ) -> list[EvalReport]:
     """One report per variant, in order; the days are walked once for all of them."""
+    if seed < 0:  # day i gossips at seed + i; refused whether or not a variant gossips
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     specs = list(specs)
     system_maes = [mae(predictions, data.actuals) for predictions in _run_days(data, specs, seed)]
     per_source = {

@@ -27,6 +27,7 @@ class Observation(NamedTuple):
     """
 
     n: int
+    max_ticks: int  # the run's configured horizon
     histograms: list[tuple[int, ...]]
     winning_count: list[int]
     changed: list[int]  # agents whose value differs from the tick before; 0 at tick 0
@@ -126,26 +127,22 @@ def observe(traj: Trajectory, graph: FriendGraph) -> Observation:
         changed.append(moved)
         friend_agreement.append(friend)
         random_agreement.append(chance)
-    return Observation(n=n, histograms=histograms, winning_count=winning_count, changed=changed,
-                       friend_agreement=friend_agreement, random_agreement=random_agreement)
+    return Observation(n, traj.config.max_ticks, histograms, winning_count, changed,
+                       friend_agreement, random_agreement)
 
 
-def steady_change_rate(traj: Trajectory, burn_in: int) -> float:
+def steady_change_rate(obs: Observation, burn_in: int) -> float:
     """Mean per-agent change rate over the ticks after the first burn_in.
 
     burn_in is checked against the configured horizon; a run that absorbed at
     or before burn_in has no steady-state ticks left and scores 0.0.
     """
-    if not 0 <= burn_in < traj.config.max_ticks:
+    if not 0 <= burn_in < obs.max_ticks:
         raise ValueError(
-            f"burn_in must satisfy 0 <= burn_in < max_ticks={traj.config.max_ticks}, "
-            f"got {burn_in}"
+            f"burn_in must satisfy 0 <= burn_in < max_ticks={obs.max_ticks}, got {burn_in}"
         )
-    tail = traj.events[burn_in:]
-    if not tail:
-        return 0.0
-    n = traj.config.n
-    return sum(e.changed for e in tail) / (len(tail) * n)
+    tail = obs.changed[burn_in + 1:]
+    return sum(tail) / (len(tail) * obs.n) if tail else 0.0
 
 
 def dissent_change_rate(obs: Observation, burn_in: int) -> float:

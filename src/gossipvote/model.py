@@ -164,6 +164,9 @@ class SimConfig(_SimFields):
         return cls(*fields)
 
 
+_FIELD_TYPES["SimConfig"] = SimConfig  # a Scenario's sim
+
+
 def make_friend_graph(
     n: int, f: int, rng: random.Random, symmetric: bool = False
 ) -> FriendGraph:

@@ -156,7 +156,7 @@ def _run_replication(args: tuple[list[SimConfig], int, int, tuple[str, ...]]) ->
         obs = observe(traj, state.graph)
         summary = {
             "seed": traj.config.seed,
-            "steady_change_rate": steady_change_rate(traj, burn_in),
+            "steady_change_rate": steady_change_rate(obs, burn_in),
             "convergence_tick": convergence_tick(obs),
             "final_winning_count": obs.winning_count[-1],
             "ticks": len(traj.events),

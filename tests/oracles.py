@@ -74,16 +74,12 @@ def snapshots(traj: Trajectory) -> list[np.ndarray]:
     return out
 
 
-def trajectory_from_snapshots(populations: list[list[int]], config: SimConfig,
-                              changed: list[int] | None = None) -> Trajectory:
-    """A hand-built trajectory whose ticks change what differs between populations.
-
-    changed overrides the events' change counts (and only them).
-    """
+def trajectory_from_snapshots(populations: list[list[int]], config: SimConfig) -> Trajectory:
+    """A hand-built trajectory whose ticks change what differs between populations."""
     events = []
-    for tick, (prev, now) in enumerate(zip(populations, populations[1:])):
+    for prev, now in zip(populations, populations[1:]):
         changes = [x for agent, (a, b) in enumerate(zip(prev, now)) if a != b for x in (agent, b)]
-        count = len(changes) // 2 if changed is None else changed[tick]
+        count = len(changes) // 2
         events.append(TickEvents(sent=0, delivered=0, integrations=count, changed=count,
                                  changes=array("q", changes) if changes else NO_CHANGES))
     return Trajectory(initial=tuple(populations[0]), events=events, config=config)

@@ -86,7 +86,7 @@ def _vote_count_arms() -> dict[int, tuple[dict[str, list[float]], str]]:
             obs = observe(traj, state.graph)
             rates["dissent"].append(dissent_change_rate(obs, burn_in=50))
             rates["live"].append(live_change_rate(obs, burn_in=50))
-            rates["steady"].append(steady_change_rate(traj, burn_in=50))
+            rates["steady"].append(steady_change_rate(obs, burn_in=50))
             tick = convergence_tick(obs)
             if tick is not None:
                 converged.append(tick)

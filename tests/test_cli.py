@@ -390,7 +390,16 @@ def _negative_seed_scenario(tmp_path) -> tuple[list[str], str]:
 
 def _negative_forecast_seed(tmp_path) -> tuple[list[str], str]:
     return ["forecast", str(DATA_DIR / "synthetic_predictions.csv"),
-            str(DATA_DIR / "synthetic_actuals.csv"), "--seed", "-3"], "seed must be >= 0, got -3"
+            str(DATA_DIR / "synthetic_actuals.csv"), "--seed", "-3"], \
+        "error: seed must be >= 0, got -3"
+
+
+def _negative_forecast_seed_without_gossip(tmp_path) -> tuple[list[str], str]:
+    # refused whichever variants run, as a negative scenario seed is
+    return ["forecast", str(DATA_DIR / "synthetic_predictions.csv"),
+            str(DATA_DIR / "synthetic_actuals.csv"), "--seed", "-3",
+            "--variants", "basic-dominant", "--out", str(tmp_path / "o")], \
+        "error: seed must be >= 0, got -3"
 
 
 def _too_deep_scenario(tmp_path) -> tuple[list[str], str]:
@@ -425,8 +434,8 @@ def _unknown_variant(tmp_path) -> tuple[list[str], str]:
 
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", [
-        _negative_seed_scenario, _negative_forecast_seed, _too_deep_scenario,
-        _oversized_csv_field, _header_only_csvs, _unknown_variant,
+        _negative_seed_scenario, _negative_forecast_seed, _negative_forecast_seed_without_gossip,
+        _too_deep_scenario, _oversized_csv_field, _header_only_csvs, _unknown_variant,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_is_one_error_line_and_exit_1(self, tmp_path, case):
         argv, message = case(tmp_path)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from oracles import (
     trajectory_metrics,
 )
 
-from gossipvote.engine import NO_CHANGES, Trajectory, init, run_states
+from gossipvote.engine import NO_CHANGES, init, run, run_states
 from gossipvote.metrics import (
+    Observation,
     convergence_tick,
     dissent_change_rate,
     live_change_rate,
@@ -26,10 +28,6 @@ from gossipvote.metrics import (
     steady_change_rate,
 )
 from gossipvote.model import FriendGraph, SimConfig
-
-
-def fake_trajectory(snapshots: list[list[int]], changed: list[int], config: SimConfig) -> Trajectory:
-    return trajectory_from_snapshots(snapshots, config, changed)
 
 
 class TestTickMetrics:
@@ -107,15 +105,25 @@ class TestTickMetrics:
             prev = snap
 
 
+def observed(config: SimConfig) -> Observation:
+    """The observation of config's lone run."""
+    ((state, traj),) = run([config])
+    return observe(traj, state.graph)
+
+
 class TestSteadyChangeRate:
     def test_arithmetic_mean_after_burn_in(self):
+        # ticks 1, 2 and 3 change 1, 2 and 3 of the 10 agents
         config = SimConfig(n=10, k=1, max_ticks=3, seed=0)
-        traj = fake_trajectory([[0] * 10] * 4, changed=[1, 2, 3], config=config)
-        assert steady_change_rate(traj, burn_in=1) == pytest.approx(0.25)
+        populations = [[0] * 10, [1] + [0] * 9, [1] * 3 + [0] * 7, [1] * 6 + [0] * 4]
+        traj = trajectory_from_snapshots(populations, config=config)
+        obs = observe(traj, FriendGraph([[] for _ in range(10)]))
+        assert obs.changed == [0, 1, 2, 3]
+        assert steady_change_rate(obs, burn_in=1) == pytest.approx(0.25)
 
     def test_unanimous_start_scores_zero(self):
-        traj = run_states([init(SimConfig(n=10, k=0, max_ticks=40, seed=1))])[0]
-        assert steady_change_rate(traj, burn_in=10) == 0.0
+        obs = observed(SimConfig(n=10, k=0, max_ticks=40, seed=1))
+        assert steady_change_rate(obs, burn_in=10) == 0.0
 
     def test_absorbed_before_burn_in_scores_zero(self):
         # v=1 without self-votes is adopt-what-you-hear: tiny populations
@@ -123,33 +131,33 @@ class TestSteadyChangeRate:
         # so the run stops early and the burn-in window is empty
         absorbed = None
         for seed in range(20):
-            config = SimConfig(
+            obs = observed(SimConfig(
                 n=4, k=1, v=1, include_self=False, activation_prob=1.0, max_ticks=100, seed=seed
-            )
-            traj = run_states([init(config)])[0]
-            if len(traj.events) < 60:
-                absorbed = traj
+            ))
+            if len(obs.changed) <= 60:
+                absorbed = obs
                 break
         assert absorbed is not None
         assert steady_change_rate(absorbed, burn_in=60) == 0.0
 
     @pytest.mark.parametrize("burn_in", [-1, 100, 500])
     def test_rejects_out_of_range_burn_in(self, burn_in):
-        traj = run_states([init(SimConfig(n=5, k=1, max_ticks=100, seed=2))])[0]
-        with pytest.raises(ValueError, match="burn_in"):
-            steady_change_rate(traj, burn_in)
+        obs = observed(SimConfig(n=5, k=1, max_ticks=100, seed=2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"burn_in must satisfy 0 <= burn_in < max_ticks=100, got {burn_in}")):
+            steady_change_rate(obs, burn_in)
 
 
 class TestClusteringGap:
     def test_matched_halves_with_agreeing_friends(self):
         config = SimConfig(n=4, k=1, max_ticks=1, seed=0)
-        traj = fake_trajectory([[0, 0, 1, 1]], changed=[], config=config)
+        traj = trajectory_from_snapshots([[0, 0, 1, 1]], config=config)
         graph = FriendGraph([[1], [0], [3], [2]])
         assert clustering_gap(traj, graph, 0) == pytest.approx(0.5)
 
     def test_unanimity_gives_zero_gap(self):
         config = SimConfig(n=4, k=1, max_ticks=1, seed=0)
-        traj = fake_trajectory([[1, 1, 1, 1]], changed=[], config=config)
+        traj = trajectory_from_snapshots([[1, 1, 1, 1]], config=config)
         graph = FriendGraph([[1], [2], [3], [0]])
         assert clustering_gap(traj, graph, 0) == 0.0
 
@@ -169,14 +177,12 @@ class TestTrajectoryHelpers:
 
     def test_convergence_tick_finds_first_unanimous_snapshot(self):
         config = SimConfig(n=8, k=1, max_ticks=1, seed=0)
-        traj = fake_trajectory(
-            [[0, 1] * 4, [0] * 8, [0] * 8], changed=[4, 0], config=config
-        )
+        traj = trajectory_from_snapshots([[0, 1] * 4, [0] * 8, [0] * 8], config=config)
         assert convergence_tick(observe(traj, FriendGraph([[] for _ in range(8)]))) == 1
 
     def test_convergence_tick_none_when_never_unanimous(self):
         config = SimConfig(n=4, k=1, max_ticks=1, seed=0)
-        traj = fake_trajectory([[0, 1, 0, 1]], changed=[], config=config)
+        traj = trajectory_from_snapshots([[0, 1, 0, 1]], config=config)
         assert convergence_tick(observe(traj, FriendGraph([[] for _ in range(4)]))) is None
 
     def test_winning_count_constant_after_convergence(self):
@@ -194,7 +200,7 @@ class TestRatesOverTheObservation:
 
     def observation(self):
         config = SimConfig(n=4, k=1, max_ticks=3, seed=0)
-        traj = fake_trajectory(self.SNAPSHOTS, changed=[1, 1, 0], config=config)
+        traj = trajectory_from_snapshots(self.SNAPSHOTS, config=config)
         return observe(traj, FriendGraph([[] for _ in range(4)]))
 
     def test_observed_changes_per_tick(self):
@@ -223,7 +229,7 @@ class TestRatesOverTheObservation:
 
     def test_gaps_match_clustering_gap_and_reject_ticks_outside_the_run(self):
         config = SimConfig(n=4, k=1, max_ticks=3, seed=0)
-        traj = fake_trajectory(self.SNAPSHOTS, changed=[1, 1, 0], config=config)
+        traj = trajectory_from_snapshots(self.SNAPSHOTS, config=config)
         graph = FriendGraph([[1], [0], [3], [2]])
         obs = observe(traj, graph)
         assert obs.gaps(0, 4) == [clustering_gap(traj, graph, t) for t in range(4)]
@@ -317,6 +323,29 @@ class TestObserve:
         config, is_that_shape = SHAPES[shape]
         assert is_that_shape(assert_observation_matches_tick_metrics(config))
 
+    @given(config=run_configs(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_steady_change_rate_equals_the_rate_over_the_tick_events(self, config, data):
+        # lone runs, and draw groups whose members differ in v, operator and self-votes
+        members = data.draw(st.lists(st.tuples(
+            st.integers(min_value=1, max_value=4), st.sampled_from(("dominant", "consensus")),
+            st.booleans()), max_size=2))
+        configs = [config] + [config._replace(v=v, strategy=strategy, mixed_consensus_prob=0.0,
+                                              include_self=include_self)
+                              for v, strategy, include_self in members]
+        for state, traj in run(configs):
+            obs = observe(traj, state.graph)
+            assert obs.max_ticks == traj.config.max_ticks
+            for burn_in in range(traj.config.max_ticks):
+                tail = traj.events[burn_in:]
+                want = sum(e.changed for e in tail) / (len(tail) * traj.config.n) if tail else 0.0
+                assert steady_change_rate(obs, burn_in) == want
+            for burn_in in (-1, traj.config.max_ticks):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"burn_in must satisfy 0 <= burn_in < max_ticks={traj.config.max_ticks}, "
+                        f"got {burn_in}")):
+                    steady_change_rate(obs, burn_in)
+
     def test_unchanged_ticks_share_one_empty_change_record(self):
         state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
         traj = run_states([state])[0]
@@ -347,8 +376,24 @@ class TestObserve:
 
     def test_rejects_snapshots_outside_the_domain(self):
         config = SimConfig(n=2, k=1, max_ticks=1, seed=0)
-        traj = fake_trajectory([[0, 1], [0, 5]], changed=[1], config=config)
+        traj = trajectory_from_snapshots([[0, 1], [0, 5]], config=config)
         with pytest.raises(ValueError, match="domain"):
+            observe(traj, FriendGraph([[], []]))
+
+    def test_rejects_a_graph_of_another_size(self):
+        traj = trajectory_from_snapshots([[0, 1, 0]], SimConfig(n=3, k=1, max_ticks=1, seed=0))
+        with pytest.raises(ValueError, match="trajectory has 3 agents but graph has 2"):
+            observe(traj, FriendGraph([[], []]))
+
+    def test_rejects_an_empty_trajectory(self):
+        traj = trajectory_from_snapshots([[]], SimConfig(n=1, k=1, max_ticks=1, seed=0))
+        with pytest.raises(ValueError, match="empty trajectory"):
+            observe(traj, FriendGraph([]))
+
+    @pytest.mark.parametrize("initial", [[0, 2], [-1, 0]])
+    def test_rejects_initial_values_outside_the_domain(self, initial):
+        traj = trajectory_from_snapshots([initial], SimConfig(n=2, k=1, max_ticks=1, seed=0))
+        with pytest.raises(ValueError, match=re.escape("values outside domain 0..1")):
             observe(traj, FriendGraph([[], []]))
 
 

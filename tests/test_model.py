@@ -112,6 +112,9 @@ class TestFriendGraph:
         with pytest.raises(ValueError, match="outside"):
             FriendGraph([[2], [0]])
 
+    def test_repr_names_the_size_not_the_rows(self):
+        assert repr(FriendGraph([[1, 2], [], [3], []])) == "FriendGraph(n=4, edges=3)"
+
     def test_mixed_out_degrees_are_allowed(self):
         # hand-built graphs need not be regular; only generated ones are
         graph = FriendGraph([[1, 2], [], [3], []])
@@ -201,6 +204,11 @@ class TestMakeFriendGraph:
     def test_rejects_infeasible_friend_count(self):
         with pytest.raises(ValueError):
             make_friend_graph(5, 5, random.Random(0))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_rejects_an_empty_population(self, symmetric):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            make_friend_graph(0, 0, random.Random(0), symmetric=symmetric)
 
     def test_deterministic_given_rng_state(self):
         assert (

@@ -88,7 +88,8 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize(
         "overrides",
-        [dict(replications="3"), dict(replications=True), dict(burn_in=True), dict(label=5)],
+        [dict(replications="3"), dict(replications=True), dict(burn_in=True), dict(label=5),
+         dict(sim={"n": 5})],
     )
     def test_rejects_wrong_types_naming_the_field(self, overrides):
         with pytest.raises(ConfigError, match=f"{next(iter(overrides))} must be"):
@@ -112,6 +113,8 @@ class TestScenarioConfig:
             scenario._replace(sim=scenario.sim._replace(max_ticks=20))
         with pytest.raises(ConfigError, match="replications must be int"):
             scenario._replace(replications="3")
+        with pytest.raises(ConfigError, match="sim must be SimConfig, got 3"):
+            scenario._replace(sim=3)
         assert scenario._replace(label="x") == small_scenario(burn_in=30, label="x")
 
     def test_default_burn_in_is_a_tenth_of_the_horizon(self):

@@ -25,11 +25,10 @@ Draw groups. Apart from those mixed coins, no draw depends on values, v,
 include_self or the operator, so runs with equal draw_key (a mixed run has
 none) draw the same friend graph, initial values and sends: they form a draw
 group, which shares its draws, not its state. run builds every member through
-init with one graphs dict, so each friend graph is drawn once, and run_states
-draws each tick's sends once, from a private copy of the group's RNG, while
-some member is unsettled, and delivers them to every unsettled member. Each
-member still takes its own step per tick, so it ends with the events, values
-and RNG state of its lone run.
+init with one graphs dict, so each friend graph is drawn once, and the lead's
+RNG draws each tick's sends once, while some member is unsettled, for every
+unsettled member. Each member still takes its own step per tick, so it ends
+with the events, values and RNG state of its lone run.
 
 A state is settled once every agent holds one value w and every queued vote
 is w: no operator can change a value from then on. step latches that after
@@ -272,31 +271,20 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
                       array("q", changes) if changes else NO_CHANGES)
 
 
-def run_states(states: Sequence[SimState]) -> list[Trajectory]:
-    """Run states to their horizon, one trajectory each, as each would run alone.
+def _run_group(states: list[SimState]) -> list[Trajectory]:
+    """Step one draw group that run built (see the module docstring) to its horizon.
 
-    A lone state draws from its own RNG, mixed coins included. Several states
-    are one draw group (see the module docstring): they must share a draw
-    key, a friend graph and an RNG state. A member that settles takes the RNG
-    state of that tick, where its lone run stops drawing, and stops there if
-    it is absorbing (an initially absorbing state takes no tick); otherwise
-    it steps on to max_ticks, one SETTLED step per tick.
+    The lead's RNG draws every tick's sends, and a lone mixed run's coins
+    too, through step. A member that settles takes a copy of that RNG at
+    that tick, where its lone run stops drawing, and stops there if it is
+    absorbing (an initially absorbing member takes no tick); otherwise it
+    steps on to max_ticks, one SETTLED step per tick.
     """
     lead = states[0]
     rng = lead.rng
-    if len(states) > 1:
-        key = draw_key(lead.config)
-        rng_state = lead.rng.getstate()
-        for state in states[1:]:
-            if (key is None or draw_key(state.config) != key or state.graph != lead.graph
-                    or state.rng.getstate() != rng_state):
-                raise ValueError("states of one draw group must share a draw key, "
-                                 "a friend graph and an RNG state")
-        rng = rng_at(rng_state)
-    handover = rng is not lead.rng  # a lone state draws from its own RNG: nothing to hand over
     trajs = [Trajectory(tuple(state.values), [], state.config) for state in states]
     live = list(zip(states, trajs))
-    drawing = sum(not state.settled for state in states)  # members whose steps read sends
+    drawing = len(states)  # unsettled members; equal starts settle all or none
     settling = True  # an initially absorbing member takes no tick
     for _ in range(lead.config.max_ticks):
         if settling:  # drop the absorbing members: settled, every inbox empty
@@ -313,12 +301,10 @@ def run_states(states: Sequence[SimState]) -> list[Trajectory]:
             if events is not SETTLED and state.settled:  # it settled at this tick
                 drawing -= 1
                 settling = True
-                if handover:
-                    state.rng.setstate(rng.getstate())  # its lone run draws no more
-    if handover:  # an unsettled group member takes the group RNG's end state
-        for state, _ in live:
-            if not state.settled:
-                state.rng.setstate(rng.getstate())
+                state.rng = rng_at(rng.getstate())  # its lone run draws no more
+    for state, _ in live:  # an unsettled member takes the group RNG's end state
+        if not state.settled and state.rng is not rng:
+            state.rng = rng_at(rng.getstate())
     return trajs
 
 
@@ -326,14 +312,14 @@ def run(configs: Sequence[SimConfig], values: list[int] | None = None,
         ) -> list[tuple[SimState, Trajectory]]:
     """Every config's run to its horizon: its end state and trajectory, in config order.
 
-    Each result is exactly what the config's lone run (init, then run_states)
-    gives, with each draw group's draws made once (see the module docstring).
+    Each result is exactly its config's lone run (init, then step to the horizon
+    or absorption), with each draw group's draws made once (see the module docstring).
     Given values (one int per agent, in 0..k of every config) draw nothing.
     """
     results: list = [None] * len(configs)
     graphs: dict[tuple, tuple[FriendGraph, tuple]] = {}
     for group in draw_groups(configs):
         states = [init(configs[index], values, graphs) for index in group]
-        for index, state, traj in zip(group, states, run_states(states)):
+        for index, state, traj in zip(group, states, _run_group(states)):
             results[index] = state, traj
     return results

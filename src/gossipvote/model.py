@@ -16,7 +16,7 @@ class ConfigError(ValueError):
 # Exact types by annotation: an int passes as a float, a bool never as an int;
 # fields with other annotations are checked where they are used.
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str,
-                "int | None": (int, type(None))}
+                "int | None": (int, type(None)), "tuple[str, ...]": tuple}
 
 
 def check_field_types(config: tuple, fields: type) -> None:

@@ -91,9 +91,17 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
+    def distinct_keys(pairs: list[tuple]) -> dict:  # json.load keeps a repeated key's last value
+        obj: dict = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=distinct_keys)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"{path} is not valid JSON: {exc}") from None
         except UnicodeDecodeError as exc:

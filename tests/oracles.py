@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gossipvote.engine import NO_CHANGES, TickEvents, Trajectory
+from gossipvote.engine import NO_CHANGES, SimState, TickEvents, Trajectory, init, step
 from gossipvote.model import FriendGraph, SimConfig
 
 
@@ -72,6 +72,18 @@ def snapshots(traj: Trajectory) -> list[np.ndarray]:
             values.flags.writeable = False
         out.append(values)
     return out
+
+
+def lone_run(config: SimConfig, values: list[int] | None = None) -> tuple[SimState, Trajectory]:
+    """A config's lone run, stepped tick by tick: init, then one step per tick until
+    max_ticks or an absorbing state (settled, every inbox empty); its end state and record."""
+    state = init(config, values)
+    traj = Trajectory(initial=tuple(state.values), events=[], config=config)
+    for _ in range(config.max_ticks):
+        if state.settled and not any(state.inboxes):
+            break
+        traj.events.append(step(state))
+    return state, traj
 
 
 def trajectory_from_snapshots(populations: list[list[int]], config: SimConfig) -> Trajectory:

@@ -18,7 +18,7 @@ from time import perf_counter
 
 from oracles import median_cost_oracle, mode_oracle
 
-from gossipvote.engine import init, run, run_states, step
+from gossipvote.engine import init, run, step
 from gossipvote.forecast import (
     _run_days,
     compare_report,
@@ -147,8 +147,7 @@ def _mean_gap_after_burn_in(v: int, f: int, friend_prob: float, seed: int) -> fl
         n=500, k=1, v=v, f=f, friend_prob=friend_prob, activation_prob=0.5,
         strategy="dominant", max_ticks=200, seed=seed,
     )
-    state = init(config)
-    traj = run_states([state])[0]
+    ((state, traj),) = run([config])
     last = len(traj.events)
     return mean(observe(traj, state.graph).gaps(50 if last > 50 else last, last + 1))
 

@@ -409,6 +409,21 @@ def _too_deep_scenario(tmp_path) -> tuple[list[str], str]:
         f"{path} is not valid JSON: maximum recursion depth exceeded"
 
 
+def _repeated_sim_key(tmp_path) -> tuple[list[str], str]:
+    # json.load would keep the last value and run n=50
+    path = tmp_path / "repeated.scenario"
+    path.write_text('{"sim": {"n": 5, "n": 50, "max_ticks": 5, "seed": 1}, "replications": 1}')
+    return ["simulate", "--scenario", str(path), "--out", str(tmp_path / "o")], \
+        f"{path}: duplicate key 'n'"
+
+
+def _repeated_top_level_key(tmp_path) -> tuple[list[str], str]:
+    path = tmp_path / "repeated.scenario"
+    path.write_text('{"sim": {"n": 5, "max_ticks": 5}, "replications": 1, "replications": 2}')
+    return ["sweep", "--scenario", str(path), "--grid", "v=1,2", "--out", str(tmp_path / "o")], \
+        f"{path}: duplicate key 'replications'"
+
+
 def _oversized_csv_field(tmp_path) -> tuple[list[str], str]:
     pred, act = tmp_path / "p.csv", tmp_path / "a.csv"
     pred.write_text(f"day,source,prediction\nd1,{'a' * (csv.field_size_limit() + 1)},1\n")
@@ -435,7 +450,8 @@ def _unknown_variant(tmp_path) -> tuple[list[str], str]:
 class TestMalformedInputs:
     @pytest.mark.parametrize("case", [
         _negative_seed_scenario, _negative_forecast_seed, _negative_forecast_seed_without_gossip,
-        _too_deep_scenario, _oversized_csv_field, _header_only_csvs, _unknown_variant,
+        _too_deep_scenario, _repeated_sim_key, _repeated_top_level_key, _oversized_csv_field,
+        _header_only_csvs, _unknown_variant,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_is_one_error_line_and_exit_1(self, tmp_path, case):
         argv, message = case(tmp_path)

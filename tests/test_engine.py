@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import snapshots
+from oracles import lone_run, snapshots
 
 from gossipvote import engine
 from gossipvote.engine import (
@@ -18,7 +18,6 @@ from gossipvote.engine import (
     draw_sends,
     init,
     run,
-    run_states,
     step,
 )
 from gossipvote.model import FriendGraph, SimConfig, make_friend_graph
@@ -181,23 +180,23 @@ class TestStep:
 class TestRun:
     def test_same_seed_identical_trajectories(self):
         config = SimConfig(n=60, k=2, v=3, f=4, friend_prob=0.3, max_ticks=80, seed=123)
-        a, b = run_states([init(config)])[0], run_states([init(config)])[0]
+        ((_, a),), ((_, b),) = run([config]), run([config])  # two calls, not one group
         assert a.initial == b.initial
         assert a.events == b.events
 
     def test_unanimous_start_terminates_immediately(self):
-        traj = run_states([init(SimConfig(n=10, k=0, max_ticks=50, seed=5))])[0]
+        ((_, traj),) = run([SimConfig(n=10, k=0, max_ticks=50, seed=5)])
         assert len(traj.events) == 0
         assert traj.initial == (0,) * 10
 
     def test_snapshot_count_bounded_by_horizon(self):
-        traj = run_states([init(SimConfig(n=20, k=1, v=2, max_ticks=30, seed=8))])[0]
+        ((_, traj),) = run([SimConfig(n=20, k=1, v=2, max_ticks=30, seed=8)])
         assert len(traj.events) <= 30
         assert len(snapshots(traj)) == len(traj.events) + 1
 
     def test_dominant_keeps_values_from_vote_sets(self):
         # strategy=dominant can only adopt values that exist somewhere
-        traj = run_states([init(SimConfig(n=40, k=4, v=3, max_ticks=60, seed=11))])[0]
+        ((_, traj),) = run([SimConfig(n=40, k=4, v=3, max_ticks=60, seed=11)])
         snaps = snapshots(traj)
         seen = set(snaps[0].tolist())
         for snap in snaps[1:]:
@@ -205,7 +204,7 @@ class TestRun:
 
     def test_winning_count_trends_upward_on_the_baseline_config(self):
         config = SimConfig(n=500, k=1, v=3, f=0, activation_prob=0.5, max_ticks=300, seed=2)
-        traj = run_states([init(config)])[0]
+        ((_, traj),) = run([config])
         first = np.bincount(snapshots(traj)[0], minlength=2).max()
         last = np.bincount(snapshots(traj)[-1], minlength=2).max()
         assert last > first
@@ -215,13 +214,11 @@ class TestRun:
         # 20-vote inboxes fill ~7x slower than 3-vote inboxes
         lo_rates, hi_rates = [], []
         for seed in range(10):
-            lo = run_states([init(SimConfig(
-                n=100, k=1, v=3, f=0, activation_prob=0.5, max_ticks=60, seed=seed,
-            ))])[0]
-            hi = run_states([init(SimConfig(
-                n=100, k=1, v=20, f=10, friend_prob=0.2,
-                activation_prob=0.5, max_ticks=60, seed=seed,
-            ))])[0]
+            (_, lo), (_, hi) = run([
+                SimConfig(n=100, k=1, v=3, f=0, activation_prob=0.5, max_ticks=60, seed=seed),
+                SimConfig(n=100, k=1, v=20, f=10, friend_prob=0.2,
+                          activation_prob=0.5, max_ticks=60, seed=seed),
+            ])
             lo_rates.append(sum(e.integrations for e in lo.events) / max(len(lo.events), 1))
             hi_rates.append(sum(e.integrations for e in hi.events) / max(len(hi.events), 1))
         assert np.mean(lo_rates) > 3 * np.mean(hi_rates)
@@ -253,11 +250,11 @@ class TestRun:
 class TestRunState:
     def test_run_state_continues_an_existing_state(self):
         config = SimConfig(n=30, k=1, v=2, max_ticks=20, seed=9)
-        whole = run_states([init(config)])[0]
-        state = init(config)
-        again = run_states([state])[0]
-        assert (snapshots(whole)[-1] == snapshots(again)[-1]).all()
-        assert state.values == snapshots(whole)[-1].tolist()
+        ((state, traj),) = run([config])
+        assert state.values == snapshots(traj)[-1].tolist()
+        # the end state steps on as a run with a longer horizon does
+        _, longer = lone_run(config._replace(max_ticks=21))
+        assert longer.events == [*traj.events, step(state)]
 
 
 class TestSnapshot:
@@ -272,9 +269,8 @@ class TestSnapshot:
 
 
 @st.composite
-def draw_group_cases(draw) -> tuple[list[SimConfig], int | None]:
-    """Configs of one draw group (differing in v, include_self and operator) and,
-    optionally, the index of a member forced unanimous so that it absorbs at once."""
+def draw_group_cases(draw) -> list[SimConfig]:
+    """Configs of one draw group, differing in v, include_self and operator."""
     n = draw(st.integers(min_value=1, max_value=25))
     symmetric = draw(st.booleans())
     f = draw(st.integers(min_value=0, max_value=n - 1))
@@ -290,9 +286,8 @@ def draw_group_cases(draw) -> tuple[list[SimConfig], int | None]:
     members = draw(st.lists(st.tuples(
         st.integers(min_value=1, max_value=5), st.booleans(),
         st.sampled_from(["dominant", "consensus"])), min_size=1, max_size=4))
-    configs = [base._replace(v=v, include_self=self_, strategy=strategy)
-               for v, self_, strategy in members]
-    return configs, draw(st.none() | st.integers(min_value=0, max_value=len(configs) - 1))
+    return [base._replace(v=v, include_self=self_, strategy=strategy)
+            for v, self_, strategy in members]
 
 
 def _rebuilt(state: SimState, **changes) -> SimState:
@@ -302,18 +297,6 @@ def _rebuilt(state: SimState, **changes) -> SimState:
     return SimState(**{**fields, **changes})
 
 
-def _group(configs: list[SimConfig]) -> list[SimState]:
-    """One draw group's fresh states as engine.run builds them, for tests that edit a
-    member before run_states steps it: each built by init with one graphs dict."""
-    graphs: dict = {}
-    return [init(config, graphs=graphs) for config in configs]
-
-
-def _unanimous(state: SimState) -> SimState:
-    """The state with every value 0; a new state, so that its settled latch is set."""
-    return _rebuilt(state, values=[0] * state.config.n)
-
-
 def _assert_same_run(got: Trajectory, got_state: SimState, want: Trajectory, want_state: SimState):
     assert got.events == want.events  # the change records included
     assert got.initial == want.initial
@@ -321,18 +304,20 @@ def _assert_same_run(got: Trajectory, got_state: SimState, want: Trajectory, wan
     assert got_state.rng.getstate() == want_state.rng.getstate()
 
 
+def _assert_lone_run(config: SimConfig, state: SimState, traj: Trajectory,
+                     values: list[int] | None = None) -> None:
+    """One of run's results is its config's lone run, stepped tick by tick."""
+    assert state.config == traj.config == config
+    alone, alone_traj = lone_run(config, values)
+    _assert_same_run(traj, state, alone_traj, alone)
+
+
 class TestLockstep:
-    @given(case=draw_group_cases())
+    @given(configs=draw_group_cases())
     @settings(max_examples=120, deadline=None)
-    def test_run_states_equals_lone_runs_bit_for_bit(self, case):
-        configs, absorber = case
-        states = _group(configs)
-        lone = [init(config) for config in configs]
-        if absorber is not None:
-            states[absorber] = _unanimous(states[absorber])
-            lone[absorber] = _unanimous(lone[absorber])
-        for index, traj in enumerate(run_states(states)):
-            _assert_same_run(traj, states[index], run_states([lone[index]])[0], lone[index])
+    def test_run_states_equals_lone_runs_bit_for_bit(self, configs):
+        for config, (state, traj) in zip(configs, run(configs)):
+            _assert_lone_run(config, state, traj)
 
     # seeds found by scanning: the v=1 lead absorbs at tick 21 while the other member
     # steps to the horizon; the lead steps to the horizon while the other settles with
@@ -346,8 +331,7 @@ class TestLockstep:
         states, trajs = zip(*run(configs))
         assert (len(trajs[0].events), len(trajs[1].events)) == ticks
         for config, state, traj in zip(configs, states, trajs):
-            alone = init(config)
-            _assert_same_run(traj, state, run_states([alone])[0], alone)
+            _assert_lone_run(config, state, traj)
             _assert_on_the_full_path(traj, state, init(config))
 
     def test_each_tick_steps_every_live_member_with_one_draw(self, monkeypatch):
@@ -360,39 +344,30 @@ class TestLockstep:
         drawn = _count_draws(monkeypatch)
         states, trajs = zip(*run(configs))
         assert len(drawn) == 10  # one draw per tick for the whole group
+        # one RNG object drew every tick: the lead's, which it keeps while unsettled
         assert all(rng is drawn[0] for rng in drawn)
-        assert all(drawn[0] is not state.rng for state in states)  # a private copy
+        assert [state.rng is drawn[0] for state in states] == [True, False]
         assert [traj.events for traj in trajs] == lone  # every member stepped every tick
         assert all(a.sent == b.sent for a, b in zip(*lone))
 
-    @pytest.mark.parametrize("lead, follower", [
-        (dict(strategy="mixed"), dict(strategy="mixed", v=4)),  # mixed never shares
-        (dict(), dict(friend_prob=0.25)),
-        (dict(), dict(seed=5)),
-    ])
-    def test_states_with_other_draws_are_refused(self, lead, follower):
-        base = SimConfig(n=12, k=2, f=3, friend_prob=0.5, mixed_consensus_prob=0.5, seed=4)
-        states = [init(base._replace(**lead)),
-                  init(base._replace(**follower))]
-        with pytest.raises(ValueError, match="share a draw key"):
-            run_states(states)
-
-    def test_a_follower_with_another_rng_state_is_refused(self):
-        base = SimConfig(n=12, k=2, f=3, friend_prob=0.5, seed=4)
-        states = _group([base, base._replace(v=5)])
-        states[1].rng.random()
-        with pytest.raises(ValueError, match="RNG state"):
-            run_states(states)
-
-    def test_a_group_reports_a_friendless_sender_as_a_lone_run_does(self):
-        base = SimConfig(n=2, k=1, f=1, friend_prob=0.4, activation_prob=1.0, seed=0)
-        states = _group([base, base._replace(v=2)])
-        graph = FriendGraph([[], []])
-        for state in states:
-            state.graph = graph
-        message = r"friend_prob=0.4 needs a non-empty friend list \(agent 0 has none\)"
-        with pytest.raises(ValueError, match=message):
-            run_states(states)
+    # the seeds of TestSettled's mid-run settle test, where the lead never settles,
+    # settles after the v=5 member, and settles first; the two v=1 members with
+    # include_self never settle, so several members hold the group RNG's end state
+    @pytest.mark.parametrize("seed, lead_settles", [(2, False), (4, True), (0, True)])
+    def test_no_two_results_share_an_rng(self, seed, lead_settles):
+        base = SimConfig(n=12, k=2, f=0, activation_prob=0.8, max_ticks=40, seed=seed)
+        configs = [base._replace(v=1, include_self=False),
+                   base._replace(v=5, strategy="consensus"), base._replace(v=1),
+                   base._replace(v=1), base._replace(strategy="mixed", mixed_consensus_prob=0.5),
+                   base._replace(seed=seed + 1)]
+        results = run(configs)
+        assert [state.settled for state, _ in results[:4]] == [lead_settles, True, False, False]
+        rngs = [state.rng for state, _ in results]
+        assert len({id(rng) for rng in rngs}) == len(rngs)
+        for rng in rngs:
+            others = [other.getstate() for other in rngs if other is not rng]
+            rng.random()
+            assert [other.getstate() for other in rngs if other is not rng] == others
 
 
 # draw fields, each with a second value that keeps the base config valid
@@ -463,12 +438,10 @@ def _graph_key(config: SimConfig) -> tuple:
 
 
 def _assert_lone_runs(configs: list[SimConfig], results, values: list[int] | None = None):
-    """Each of run's results is its config's lone run, init then run_states."""
+    """Each of run's results is its config's lone run, stepped tick by tick."""
     assert len(results) == len(configs)
     for config, (state, traj) in zip(configs, results):
-        assert state.config == traj.config == config
-        alone = init(config, values)
-        _assert_same_run(traj, state, run_states([alone])[0], alone)
+        _assert_lone_run(config, state, traj, values)
 
 
 class TestRunConfigs:
@@ -505,11 +478,13 @@ class TestRunConfigs:
         values = [3, 0, 1, 2, 2, 0]
         started: list[tuple] = []
 
-        def recorded_run_states(states):
-            started.extend(state.rng.getstate() for state in states)
-            return run_states(states)
+        run_group = engine._run_group
 
-        monkeypatch.setattr(engine, "run_states", recorded_run_states)
+        def recorded_run_group(states):
+            started.extend(state.rng.getstate() for state in states)
+            return run_group(states)
+
+        monkeypatch.setattr(engine, "_run_group", recorded_run_group)
         results = run(configs, values)
         after_graph = random.Random(base.seed)
         make_friend_graph(base.n, base.f, after_graph)
@@ -670,7 +645,7 @@ class TestSettled:
         config = SimConfig(n=30, k=1, v=3, f=4, friend_prob=0.5, activation_prob=0.6,
                            max_ticks=120, seed=2)
         drawn = _count_draws(monkeypatch)
-        (traj,) = run_states([init(config)])
+        ((_, traj),) = run([config])
         assert _settle_tick(traj) == len(drawn) == 28  # settled with votes queued
         assert len(traj.events) == 120
 
@@ -720,14 +695,8 @@ class TestSettled:
         assert tuple(settled_at) == settles
         assert tuple(len(traj.events) for traj in trajs) == ticks
 
-    @given(case=draw_group_cases())
+    @given(configs=draw_group_cases())
     @settings(max_examples=80, deadline=None)
-    def test_groups_equal_lone_runs_on_the_full_path(self, case):
-        configs, absorber = case
-        states = _group(configs)
-        lone = [init(config) for config in configs]
-        if absorber is not None:
-            states[absorber] = _unanimous(states[absorber])
-            lone[absorber] = _unanimous(lone[absorber])
-        for traj, state, alone in zip(run_states(states), states, lone):
-            _assert_on_the_full_path(traj, state, alone)
+    def test_groups_equal_lone_runs_on_the_full_path(self, configs):
+        for config, (state, traj) in zip(configs, run(configs)):
+            _assert_on_the_full_path(traj, state, init(config))

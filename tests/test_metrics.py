@@ -17,7 +17,7 @@ from oracles import (
     trajectory_metrics,
 )
 
-from gossipvote.engine import NO_CHANGES, init, run, run_states
+from gossipvote.engine import NO_CHANGES, run
 from gossipvote.metrics import (
     Observation,
     convergence_tick,
@@ -95,8 +95,7 @@ class TestTickMetrics:
 
     def test_change_rate_bounded_by_integration_rate_on_a_real_run(self):
         config = SimConfig(n=80, k=1, v=3, max_ticks=50, seed=21)
-        state = init(config)
-        traj = run_states([state])[0]
+        ((state, traj),) = run([config])
         snaps = snapshots(traj)
         prev = snaps[0]
         for snap, events in zip(snaps[1:], traj.events):
@@ -162,15 +161,14 @@ class TestClusteringGap:
         assert clustering_gap(traj, graph, 0) == 0.0
 
     def test_rejects_out_of_range_tick(self):
-        traj = run_states([init(SimConfig(n=5, k=1, max_ticks=10, seed=3))])[0]
+        ((_, traj),) = run([SimConfig(n=5, k=1, max_ticks=10, seed=3)])
         with pytest.raises(IndexError, match="tick"):
             clustering_gap(traj, FriendGraph([[] for _ in range(5)]), len(traj.events) + 1)
 
 
 class TestTrajectoryHelpers:
     def test_trajectory_metrics_covers_every_snapshot(self):
-        state = init(SimConfig(n=30, k=1, v=2, max_ticks=25, seed=4))
-        traj = run_states([state])[0]
+        ((state, traj),) = run([SimConfig(n=30, k=1, v=2, max_ticks=25, seed=4)])
         per_tick = trajectory_metrics(traj, state.graph)
         assert len(per_tick) == len(traj.events) + 1
         assert per_tick[0].change_rate == 0.0
@@ -186,8 +184,7 @@ class TestTrajectoryHelpers:
         assert convergence_tick(observe(traj, FriendGraph([[] for _ in range(4)]))) is None
 
     def test_winning_count_constant_after_convergence(self):
-        state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
-        traj = run_states([state])[0]
+        ((state, traj),) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
         tick = convergence_tick(observe(traj, state.graph))
         assert tick is not None  # this config reliably reaches unanimity
         for snap in snapshots(traj)[tick:]:
@@ -282,8 +279,7 @@ SHAPES = {
 
 def assert_observation_matches_tick_metrics(config: SimConfig):
     """observe() equals the numpy oracle's tick_metrics at every tick, floats bit for bit."""
-    state = init(config)
-    traj = run_states([state])[0]
+    ((state, traj),) = run([config])
     obs = observe(traj, state.graph)
     src, dst = edge_arrays(state.graph)
     snaps = snapshots(traj)
@@ -347,8 +343,7 @@ class TestObserve:
                     steady_change_rate(obs, burn_in)
 
     def test_unchanged_ticks_share_one_empty_change_record(self):
-        state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
-        traj = run_states([state])[0]
+        ((state, traj),) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
         unchanged = [e.changes is NO_CHANGES for e in traj.events]
         assert unchanged == [e.changed == 0 for e in traj.events]
         assert any(unchanged) and not all(unchanged)
@@ -364,8 +359,7 @@ class TestObserve:
         assert values == state.values
 
     def test_shared_ticks_share_one_histogram(self):
-        state = init(SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14))
-        traj = run_states([state])[0]
+        ((state, traj),) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
         obs = observe(traj, state.graph)
         for t in range(1, len(traj.events) + 1):
             same = not traj.events[t - 1].changes

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from gossipvote.cli import main
-from gossipvote.engine import init, run_states, step
+from gossipvote.engine import init, run, step
 from gossipvote.model import SimConfig
 from gossipvote.scenario import Scenario, simulate_scenario, sweep_scenario
 
@@ -97,7 +97,7 @@ def events_digest(name: str) -> str:
     fields = {**BASE, **CASES[name]}
     digest = hashlib.sha256()
     for seed in (fields["seed"], fields["seed"] + 1):
-        traj = run_states([init(SimConfig(**{**fields, "seed": seed}))])[0]
+        ((_, traj),) = run([SimConfig(**{**fields, "seed": seed})])
         for e in traj.events:
             digest.update(f"{e.sent},{e.delivered},{e.integrations},{e.changed};".encode())
     return digest.hexdigest()

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import snapshots, trajectory_from_snapshots, trajectory_metrics
 
-from gossipvote.engine import init, run_states
+from gossipvote.engine import run
 from gossipvote.metrics import observe
 from gossipvote import output as output_module
 from gossipvote import scenario as scenario_module
@@ -89,7 +89,8 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "overrides",
         [dict(replications="3"), dict(replications=True), dict(burn_in=True), dict(label=5),
-         dict(sim={"n": 5})],
+         dict(sim={"n": 5}), dict(outputs=5), dict(outputs=None),
+         dict(outputs=["summary_json"]), dict(outputs="summary_json")],
     )
     def test_rejects_wrong_types_naming_the_field(self, overrides):
         with pytest.raises(ConfigError, match=f"{next(iter(overrides))} must be"):
@@ -124,8 +125,7 @@ class TestScenarioConfig:
 
 class TestCsvRendering:
     def test_trajectory_csv_shape(self):
-        state = init(SimConfig(n=10, k=2, v=2, max_ticks=5, seed=3))
-        traj = run_states([state])[0]
+        ((state, traj),) = run([SimConfig(n=10, k=2, v=2, max_ticks=5, seed=3)])
         text = trajectory_csv(observe(traj, state.graph))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["tick", "value", "count"]
@@ -139,8 +139,7 @@ class TestCsvRendering:
 
     def test_metrics_csv_shape(self):
         config = SimConfig(n=10, k=1, v=2, f=2, friend_prob=0.5, max_ticks=5, seed=3)
-        state = init(config)
-        traj = run_states([state])[0]
+        ((state, traj),) = run([config])
         text = metrics_csv(observe(traj, state.graph))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == [
@@ -156,8 +155,7 @@ class TestCsvRendering:
     def test_equal_but_distinct_snapshots_give_the_same_csv_bytes(self):
         """A trajectory rebuilt from one array per tick writes what the run writes."""
         config = SimConfig(n=60, k=1, v=3, f=4, friend_prob=0.4, max_ticks=300, seed=14)
-        state = init(config)
-        traj = run_states([state])[0]
+        ((state, traj),) = run([config])
         rebuilt = trajectory_from_snapshots([s.tolist() for s in snapshots(traj)], config)
         assert rebuilt.events != traj.events  # only the change records survive the trip
         assert [e.changes for e in rebuilt.events] == [e.changes for e in traj.events]
@@ -169,8 +167,7 @@ class TestCsvRendering:
     def test_uint8_snapshots_write_the_bytes_of_int64_ones(self, k):
         """The CSVs equal the numpy oracle's, rendered from int64 snapshots; the
         state's own snapshot stays uint8 up to k=255."""
-        state = init(SimConfig(n=30, k=k, v=2, f=3, friend_prob=0.4, max_ticks=25, seed=5))
-        traj = run_states([state])[0]
+        ((state, traj),) = run([SimConfig(n=30, k=k, v=2, f=3, friend_prob=0.4, max_ticks=25, seed=5)])
         assert state.snapshot().dtype == np.uint8
         assert state.snapshot().tolist() == snapshots(traj)[-1].tolist()
         reference = trajectory_metrics(traj, state.graph)
@@ -222,8 +219,8 @@ class TestWriteAtomic:
         with pytest.raises(OSError, match="No space"):
             simulate_scenario(scenario, str(tmp_path))
         assert [p.name for p in tmp_path.iterdir()] == ["trajectory_rep000.csv"]
-        state = init(scenario.sim)  # replication 0 runs at the scenario's seed
-        expected = trajectory_csv(observe(run_states([state])[0], state.graph))
+        ((state, traj),) = run([scenario.sim])  # replication 0 runs at the scenario's seed
+        expected = trajectory_csv(observe(traj, state.graph))
         assert (tmp_path / "trajectory_rep000.csv").read_bytes() == expected.encode()
 
 

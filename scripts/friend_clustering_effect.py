@@ -14,20 +14,16 @@ import statistics
 from gossipvote import ConfigError, SimConfig, observe, run
 
 
-def mean_gap(friend_prob: float, seed: int, args: argparse.Namespace) -> float:
-    ((state, traj),) = run([
-        SimConfig(
-            n=500,
-            k=1,
-            v=3,
-            f=args.friends,
-            friend_prob=friend_prob,
-            activation_prob=0.5,
-            max_ticks=args.last_tick,
-            seed=seed,
-        )
-    ])
-    return statistics.mean(observe(traj, state.graph).gaps(args.first_tick, args.last_tick + 1))
+def mean_gaps(seed: int, args: argparse.Namespace) -> tuple[float, float]:
+    """One seed's mean gap with preferential sends, then with uniform sends.
+
+    The two arms run in one call, so they share the seed's friend graph.
+    """
+    config = SimConfig(n=500, k=1, v=3, f=args.friends, friend_prob=args.friend_prob,
+                       activation_prob=0.5, max_ticks=args.last_tick, seed=seed)
+    preferential, uniform = run([config, config._replace(friend_prob=0.0)])
+    return tuple(statistics.mean(observe(traj).gaps(args.first_tick, args.last_tick + 1))
+                 for traj in (preferential, uniform))
 
 
 def main() -> int:
@@ -51,9 +47,7 @@ def main() -> int:
     positive = 0
     try:
         for s in range(args.seeds):
-            seed = args.base_seed + s
-            gap_pref = mean_gap(args.friend_prob, seed, args)
-            gap_flat = mean_gap(0.0, seed, args)
+            gap_pref, gap_flat = mean_gaps(args.base_seed + s, args)
             preferential.append(gap_pref)
             uniform.append(gap_flat)
             positive += gap_pref > 0

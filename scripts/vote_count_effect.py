@@ -38,8 +38,8 @@ def arms(
         for v in vs
     ])
     results = []
-    for state, traj in runs:
-        obs = observe(traj, state.graph)
+    for traj in runs:
+        obs = observe(traj)
         rates = (
             dissent_change_rate(obs, burn_in),
             live_change_rate(obs, burn_in),

@@ -27,8 +27,8 @@ none) draw the same friend graph, initial values and sends: they form a draw
 group, which shares its draws, not its state. run builds every member through
 init with one graphs dict, so each friend graph is drawn once, and the lead's
 RNG draws each tick's sends once, while some member is unsettled, for every
-unsettled member. Each member still takes its own step per tick, so it ends
-with the events, values and RNG state of its lone run.
+unsettled member. Each member still takes its own step per tick, so its
+record is that of its lone run.
 
 A state is settled once every agent holds one value w and every queued vote
 is w: no operator can change a value from then on. step latches that after
@@ -117,19 +117,21 @@ def _settled(values: list[int], inboxes: list[list[int]]) -> bool:
 
 
 class Trajectory(NamedTuple):
-    """One run's record: the initial values and every tick's events.
+    """One run's record: its initial values, every tick's events, graph and final values.
 
     events[t-1] belongs to tick t, and the population after tick t is
-    initial with the changes of ticks 1..t applied in order, so the record
-    grows with the changes, not with n per tick. A run ends before max_ticks
-    only at an absorbing state (settled, every inbox empty), which it reaches
-    at the start or at the tick it settles; otherwise its ticks after
-    settling all share SETTLED and cost no draws (see step).
+    initial with the changes of ticks 1..t applied in order (final is the
+    one after the last tick), so the record grows with the changes, not with
+    n per tick. A run ends before max_ticks only at an absorbing state
+    (settled, every inbox empty), which it reaches at the start or at the
+    tick it settles; otherwise its ticks after settling all share SETTLED.
     """
 
     initial: tuple[int, ...]
     events: list[TickEvents]
     config: SimConfig
+    graph: FriendGraph
+    final: list[int]
 
 
 def rng_at(rng_state: tuple) -> random.Random:
@@ -275,14 +277,13 @@ def _run_group(states: list[SimState]) -> list[Trajectory]:
     """Step one draw group that run built (see the module docstring) to its horizon.
 
     The lead's RNG draws every tick's sends, and a lone mixed run's coins
-    too, through step. A member that settles takes a copy of that RNG at
-    that tick, where its lone run stops drawing, and stops there if it is
-    absorbing (an initially absorbing member takes no tick); otherwise it
-    steps on to max_ticks, one SETTLED step per tick.
+    too, through step. A member that settles stops there if it is absorbing
+    (an initially absorbing member takes no tick); otherwise it steps on to
+    max_ticks, one SETTLED step per tick. Each record's final is its state's
+    values list, which step changes in place.
     """
     lead = states[0]
-    rng = lead.rng
-    trajs = [Trajectory(tuple(state.values), [], state.config) for state in states]
+    trajs = [Trajectory(tuple(s.values), [], s.config, s.graph, s.values) for s in states]
     live = list(zip(states, trajs))
     drawing = len(states)  # unsettled members; equal starts settle all or none
     settling = True  # an initially absorbing member takes no tick
@@ -293,7 +294,7 @@ def _run_group(states: list[SimState]) -> list[Trajectory]:
                 break
             settling = False
         # a settled step reads no sends
-        sends = draw_sends(lead.config, lead.graph, rng) if drawing else None
+        sends = draw_sends(lead.config, lead.graph, lead.rng) if drawing else None
         # plain loops, not comprehensions: this runs once per tick of every run
         for state, traj in live:
             events = step(state, sends)
@@ -301,18 +302,13 @@ def _run_group(states: list[SimState]) -> list[Trajectory]:
             if events is not SETTLED and state.settled:  # it settled at this tick
                 drawing -= 1
                 settling = True
-                state.rng = rng_at(rng.getstate())  # its lone run draws no more
-    for state, _ in live:  # an unsettled member takes the group RNG's end state
-        if not state.settled and state.rng is not rng:
-            state.rng = rng_at(rng.getstate())
     return trajs
 
 
-def run(configs: Sequence[SimConfig], values: list[int] | None = None,
-        ) -> list[tuple[SimState, Trajectory]]:
-    """Every config's run to its horizon: its end state and trajectory, in config order.
+def run(configs: Sequence[SimConfig], values: list[int] | None = None) -> list[Trajectory]:
+    """Every config's run to its horizon: its record, in config order.
 
-    Each result is exactly its config's lone run (init, then step to the horizon
+    Each record is exactly its config's lone run's (init, then step to the horizon
     or absorption), with each draw group's draws made once (see the module docstring).
     Given values (one int per agent, in 0..k of every config) draw nothing.
     """
@@ -320,6 +316,6 @@ def run(configs: Sequence[SimConfig], values: list[int] | None = None,
     graphs: dict[tuple, tuple[FriendGraph, tuple]] = {}
     for group in draw_groups(configs):
         states = [init(configs[index], values, graphs) for index in group]
-        for index, state, traj in zip(group, states, _run_group(states)):
-            results[index] = state, traj
+        for index, traj in zip(group, _run_group(states)):
+            results[index] = traj
     return results

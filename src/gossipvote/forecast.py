@@ -127,7 +127,9 @@ def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, list[
 
 
 def _parse_int(text: str, path: str, line: int, column: str) -> int:
-    try:
+    try:  # int() also reads "1_0" and non-ASCII digits
+        if "_" in text or not text.strip().isascii():
+            raise ValueError
         return int(text.strip())
     except ValueError:
         raise DatasetError(
@@ -232,8 +234,8 @@ def _gossip_day(
             max_ticks=p.gossip_ticks, seed=seed,
         ))
     finals = [values] * len(params)
-    for index, (state, _) in zip(gossip, run(configs, values)):
-        finals[index] = state.values
+    for index, traj in zip(gossip, run(configs, values)):
+        finals[index] = traj.final
     return finals
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .engine import Trajectory
-from .model import FriendGraph
 
 
 class Observation(NamedTuple):
@@ -72,12 +71,12 @@ def pairwise_sum(values: Sequence[float]) -> float:
     return part(0, len(values))
 
 
-def observe(traj: Trajectory, graph: FriendGraph) -> Observation:
-    """The observer pass: one row per tick, updated per change in O(changes x degree).
+def observe(traj: Trajectory) -> Observation:
+    """The observer pass over traj.graph: one row per tick, O(changes x degree) per tick.
 
     friend_agreement over a graph with no edges is vacuously 1.0.
     """
-    k = traj.config.k
+    k, graph = traj.config.k, traj.graph
     values = list(traj.initial)
     n = len(values)
     if n != graph.n_agents:
@@ -131,16 +130,20 @@ def observe(traj: Trajectory, graph: FriendGraph) -> Observation:
                        friend_agreement, random_agreement)
 
 
+def _check_burn_in(obs: Observation, burn_in: int) -> None:
+    """Every change rate checks burn_in against the configured horizon, not the recorded ticks."""
+    if not 0 <= burn_in < obs.max_ticks:
+        raise ValueError(f"burn_in must satisfy 0 <= burn_in < max_ticks={obs.max_ticks}, "
+                         f"got {burn_in}")
+
+
 def steady_change_rate(obs: Observation, burn_in: int) -> float:
     """Mean per-agent change rate over the ticks after the first burn_in.
 
-    burn_in is checked against the configured horizon; a run that absorbed at
-    or before burn_in has no steady-state ticks left and scores 0.0.
+    A run that absorbed at or before burn_in has no steady-state ticks left
+    and scores 0.0.
     """
-    if not 0 <= burn_in < obs.max_ticks:
-        raise ValueError(
-            f"burn_in must satisfy 0 <= burn_in < max_ticks={obs.max_ticks}, got {burn_in}"
-        )
+    _check_burn_in(obs, burn_in)
     tail = obs.changed[burn_in + 1:]
     return sum(tail) / (len(tail) * obs.n) if tail else 0.0
 
@@ -153,16 +156,14 @@ def dissent_change_rate(obs: Observation, burn_in: int) -> float:
     does not depend on how long a run goes on after unanimity. A run with
     no dissent left after burn_in scores 0.0.
     """
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    _check_burn_in(obs, burn_in)
     dissent = sum(obs.n - winning for winning in obs.winning_count[burn_in:-1])
     return sum(obs.changed[burn_in + 1:]) / dissent if dissent else 0.0
 
 
 def live_change_rate(obs: Observation, burn_in: int) -> float:
     """Mean per-agent change rate over ticks burn_in+1 .. convergence_tick(obs)."""
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    _check_burn_in(obs, burn_in)
     converged = convergence_tick(obs)
     live = obs.changed[burn_in + 1:None if converged is None else converged + 1]
     return sum(live) / (len(live) * obs.n) if live else 0.0

@@ -160,8 +160,8 @@ def _run_replication(args: tuple[list[SimConfig], int, int, tuple[str, ...]]) ->
     runs = run([config._replace(seed=config.seed + index) for config in configs])
     records = []
     while runs:
-        state, traj = runs.pop(0)  # observed and released one at a time
-        obs = observe(traj, state.graph)
+        traj = runs.pop(0)  # observed and released one at a time
+        obs = observe(traj)
         summary = {
             "seed": traj.config.seed,
             "steady_change_rate": steady_change_rate(obs, burn_in),
@@ -367,7 +367,9 @@ def parse_grid(text: str) -> dict[str, list]:
         values = []
         for chunk in values_text.split(","):
             chunk = chunk.strip()
-            try:
+            try:  # int() and float() also read "1_0" and non-ASCII digits
+                if "_" in chunk or not chunk.isascii():
+                    raise ValueError
                 value = float(chunk) if key == "friend_prob" else int(chunk)
             except ValueError:
                 raise ConfigError(f"bad value {chunk!r} for grid key {key!r}") from None

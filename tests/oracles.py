@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gossipvote.engine import NO_CHANGES, SimState, TickEvents, Trajectory, init, step
+from gossipvote.engine import NO_CHANGES, TickEvents, Trajectory, init, step
 from gossipvote.model import FriendGraph, SimConfig
 
 
@@ -74,27 +74,34 @@ def snapshots(traj: Trajectory) -> list[np.ndarray]:
     return out
 
 
-def lone_run(config: SimConfig, values: list[int] | None = None) -> tuple[SimState, Trajectory]:
+def lone_run(config: SimConfig, values: list[int] | None = None) -> Trajectory:
     """A config's lone run, stepped tick by tick: init, then one step per tick until
-    max_ticks or an absorbing state (settled, every inbox empty); its end state and record."""
+    max_ticks or an absorbing state (settled, every inbox empty); its record, whose
+    final is the state's values."""
     state = init(config, values)
-    traj = Trajectory(initial=tuple(state.values), events=[], config=config)
+    traj = Trajectory(initial=tuple(state.values), events=[], config=config,
+                      graph=state.graph, final=state.values)
     for _ in range(config.max_ticks):
         if state.settled and not any(state.inboxes):
             break
         traj.events.append(step(state))
-    return state, traj
+    return traj
 
 
-def trajectory_from_snapshots(populations: list[list[int]], config: SimConfig) -> Trajectory:
-    """A hand-built trajectory whose ticks change what differs between populations."""
+def trajectory_from_snapshots(populations: list[list[int]], config: SimConfig,
+                              graph: FriendGraph | None = None) -> Trajectory:
+    """A hand-built trajectory whose ticks change what differs between populations,
+    over graph (by default, the first population's agents without edges)."""
+    if graph is None:
+        graph = FriendGraph([[] for _ in populations[0]])
     events = []
     for prev, now in zip(populations, populations[1:]):
         changes = [x for agent, (a, b) in enumerate(zip(prev, now)) if a != b for x in (agent, b)]
         count = len(changes) // 2
         events.append(TickEvents(sent=0, delivered=0, integrations=count, changed=count,
                                  changes=array("q", changes) if changes else NO_CHANGES))
-    return Trajectory(initial=tuple(populations[0]), events=events, config=config)
+    return Trajectory(initial=tuple(populations[0]), events=events, config=config, graph=graph,
+                      final=list(populations[-1]))
 
 
 def tick_metrics(
@@ -134,17 +141,18 @@ def tick_metrics(
     )
 
 
-def trajectory_metrics(traj: Trajectory, graph: FriendGraph) -> list[TickMetrics]:
-    """tick_metrics of every snapshot, tick 0 first."""
+def trajectory_metrics(traj: Trajectory) -> list[TickMetrics]:
+    """tick_metrics of every snapshot over traj's graph, tick 0 first."""
     snaps = snapshots(traj)
-    return [tick_metrics(snaps[tick - 1] if tick else snap, snap, graph, traj.config.k)
+    return [tick_metrics(snaps[tick - 1] if tick else snap, snap, traj.graph, traj.config.k)
             for tick, snap in enumerate(snaps)]
 
 
-def clustering_gap(traj: Trajectory, graph: FriendGraph, tick: int) -> float:
-    """friend_agreement minus random_agreement at one tick."""
+def clustering_gap(traj: Trajectory, tick: int) -> float:
+    """friend_agreement minus random_agreement over traj's graph at one tick."""
     snaps = snapshots(traj)
     if not 0 <= tick < len(snaps):
         raise IndexError(f"tick {tick} outside recorded range 0..{len(snaps) - 1}")
-    tm = tick_metrics(snaps[tick - 1] if tick else snaps[0], snaps[tick], graph, traj.config.k)
+    tm = tick_metrics(snaps[tick - 1] if tick else snaps[0], snaps[tick], traj.graph,
+                      traj.config.k)
     return tm.friend_agreement - tm.random_agreement

@@ -78,12 +78,12 @@ def _vote_count_arms() -> dict[int, tuple[dict[str, list[float]], str]]:
     """
     arms = {v: ({"dissent": [], "live": [], "steady": []}, []) for v in (3, 20)}
     for s in range(30):
-        for state, traj in run([SimConfig(
+        for traj in run([SimConfig(
             n=500, k=1, v=v, f=0, friend_prob=0.0, activation_prob=0.5,
             strategy="dominant", max_ticks=500, seed=1000 + s,
         ) for v in arms]):
-            rates, converged = arms[state.config.v]
-            obs = observe(traj, state.graph)
+            rates, converged = arms[traj.config.v]
+            obs = observe(traj)
             rates["dissent"].append(dissent_change_rate(obs, burn_in=50))
             rates["live"].append(live_change_rate(obs, burn_in=50))
             rates["steady"].append(steady_change_rate(obs, burn_in=50))
@@ -147,9 +147,9 @@ def _mean_gap_after_burn_in(v: int, f: int, friend_prob: float, seed: int) -> fl
         n=500, k=1, v=v, f=f, friend_prob=friend_prob, activation_prob=0.5,
         strategy="dominant", max_ticks=200, seed=seed,
     )
-    ((state, traj),) = run([config])
+    (traj,) = run([config])
     last = len(traj.events)
-    return mean(observe(traj, state.graph).gaps(50 if last > 50 else last, last + 1))
+    return mean(observe(traj).gaps(50 if last > 50 else last, last + 1))
 
 
 def test_a04_friend_channels_create_positive_clustering_gap():

@@ -466,8 +466,8 @@ class TestMalformedInputs:
 
 def _forecast_files(tmp_path, predictions: str = "d1,a,1\n", actuals: str = "d1,1\n"):
     pred, act = tmp_path / "p.csv", tmp_path / "a.csv"
-    pred.write_text("day,source,prediction\n" + predictions)
-    act.write_text("day,actual\n" + actuals)
+    pred.write_text("day,source,prediction\n" + predictions, encoding="utf-8")
+    act.write_text("day,actual\n" + actuals, encoding="utf-8")
     return ["forecast", str(pred), str(act)]
 
 
@@ -489,14 +489,44 @@ def _no_variant_names(tmp_path) -> tuple[list[str], str]:
         "--variants given but no variant names found"
 
 
+def _sweep_grid(tmp_path, grid: str) -> list[str]:
+    return ["sweep", "--scenario", str(small_scenario_file(tmp_path)), "--grid", grid,
+            "--out", str(tmp_path / "o")]
+
+
 def _grid_entry_without_values(tmp_path) -> tuple[list[str], str]:
-    return ["sweep", "--scenario", str(small_scenario_file(tmp_path)), "--grid", "v3",
-            "--out", str(tmp_path / "o")], "grid entry 'v3' must look like key=v1,v2,..."
+    return _sweep_grid(tmp_path, "v3"), "grid entry 'v3' must look like key=v1,v2,..."
+
+
+# int() and float() alone would read the numbers below as 10, 3 and 0.15
+def _underscore_actual(tmp_path) -> tuple[list[str], str]:
+    return _forecast_files(tmp_path, actuals="d1,1_0\n"), \
+        f"{tmp_path / 'a.csv'}:2: actual must be an integer, got '1_0'"
+
+
+def _non_ascii_prediction(tmp_path) -> tuple[list[str], str]:
+    return _forecast_files(tmp_path, "d1,a,\u0663\n"), \
+        f"{tmp_path / 'p.csv'}:2: prediction must be an integer, got '\u0663'"
+
+
+def _underscore_grid_value(tmp_path) -> tuple[list[str], str]:
+    return _sweep_grid(tmp_path, "v=1_0,\u0663"), "bad value '1_0' for grid key 'v'"
+
+
+def _non_ascii_grid_value(tmp_path) -> tuple[list[str], str]:
+    return _sweep_grid(tmp_path, "v=2,\u0663"), "bad value '\u0663' for grid key 'v'"
+
+
+def _underscore_grid_float(tmp_path) -> tuple[list[str], str]:
+    return _sweep_grid(tmp_path, "friend_prob=0.1_5;f=2"), \
+        "bad value '0.1_5' for grid key 'friend_prob'"
 
 
 class TestErrorMessages:
     @pytest.mark.parametrize("case", [
         _empty_day, _empty_source, _extra_field, _no_variant_names, _grid_entry_without_values,
+        _underscore_actual, _non_ascii_prediction, _underscore_grid_value, _non_ascii_grid_value,
+        _underscore_grid_float,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_is_exactly_one_error_line(self, tmp_path, capsys, case):
         argv, message = case(tmp_path)
@@ -673,9 +703,9 @@ class TestPackageExports:
         from gossipvote.scenario import RunRecord
 
         config = gv.SimConfig(n=6, k=1, v=2, max_ticks=3, seed=1)
-        ((state, traj),) = gv.run([config])
+        (traj,) = gv.run([config])
         records = [
-            config, gv.Scenario(sim=config), traj, traj.events[0], gv.observe(traj, state.graph),
+            config, gv.Scenario(sim=config), traj, traj.events[0], gv.observe(traj),
             RunRecord({}, 0.0, {}),
             gv.load_dataset(str(DATA_DIR / "synthetic_predictions.csv"),
                             str(DATA_DIR / "synthetic_actuals.csv")),

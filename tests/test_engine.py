@@ -180,23 +180,23 @@ class TestStep:
 class TestRun:
     def test_same_seed_identical_trajectories(self):
         config = SimConfig(n=60, k=2, v=3, f=4, friend_prob=0.3, max_ticks=80, seed=123)
-        ((_, a),), ((_, b),) = run([config]), run([config])  # two calls, not one group
+        (a,), (b,) = run([config]), run([config])  # two calls, not one group
         assert a.initial == b.initial
         assert a.events == b.events
 
     def test_unanimous_start_terminates_immediately(self):
-        ((_, traj),) = run([SimConfig(n=10, k=0, max_ticks=50, seed=5)])
+        (traj,) = run([SimConfig(n=10, k=0, max_ticks=50, seed=5)])
         assert len(traj.events) == 0
         assert traj.initial == (0,) * 10
 
     def test_snapshot_count_bounded_by_horizon(self):
-        ((_, traj),) = run([SimConfig(n=20, k=1, v=2, max_ticks=30, seed=8)])
+        (traj,) = run([SimConfig(n=20, k=1, v=2, max_ticks=30, seed=8)])
         assert len(traj.events) <= 30
         assert len(snapshots(traj)) == len(traj.events) + 1
 
     def test_dominant_keeps_values_from_vote_sets(self):
         # strategy=dominant can only adopt values that exist somewhere
-        ((_, traj),) = run([SimConfig(n=40, k=4, v=3, max_ticks=60, seed=11)])
+        (traj,) = run([SimConfig(n=40, k=4, v=3, max_ticks=60, seed=11)])
         snaps = snapshots(traj)
         seen = set(snaps[0].tolist())
         for snap in snaps[1:]:
@@ -204,7 +204,7 @@ class TestRun:
 
     def test_winning_count_trends_upward_on_the_baseline_config(self):
         config = SimConfig(n=500, k=1, v=3, f=0, activation_prob=0.5, max_ticks=300, seed=2)
-        ((_, traj),) = run([config])
+        (traj,) = run([config])
         first = np.bincount(snapshots(traj)[0], minlength=2).max()
         last = np.bincount(snapshots(traj)[-1], minlength=2).max()
         assert last > first
@@ -214,7 +214,7 @@ class TestRun:
         # 20-vote inboxes fill ~7x slower than 3-vote inboxes
         lo_rates, hi_rates = [], []
         for seed in range(10):
-            (_, lo), (_, hi) = run([
+            lo, hi = run([
                 SimConfig(n=100, k=1, v=3, f=0, activation_prob=0.5, max_ticks=60, seed=seed),
                 SimConfig(n=100, k=1, v=20, f=10, friend_prob=0.2,
                           activation_prob=0.5, max_ticks=60, seed=seed),
@@ -250,11 +250,11 @@ class TestRun:
 class TestRunState:
     def test_run_state_continues_an_existing_state(self):
         config = SimConfig(n=30, k=1, v=2, max_ticks=20, seed=9)
-        ((state, traj),) = run([config])
-        assert state.values == snapshots(traj)[-1].tolist()
-        # the end state steps on as a run with a longer horizon does
-        _, longer = lone_run(config._replace(max_ticks=21))
-        assert longer.events == [*traj.events, step(state)]
+        (traj,) = run([config])
+        assert traj.final == snapshots(traj)[-1].tolist()
+        # a run with a longer horizon records the same ticks, then steps on
+        longer = lone_run(config._replace(max_ticks=21))
+        assert longer.events[:20] == traj.events and len(longer.events) == 21
 
 
 class TestSnapshot:
@@ -297,27 +297,20 @@ def _rebuilt(state: SimState, **changes) -> SimState:
     return SimState(**{**fields, **changes})
 
 
-def _assert_same_run(got: Trajectory, got_state: SimState, want: Trajectory, want_state: SimState):
-    assert got.events == want.events  # the change records included
-    assert got.initial == want.initial
-    assert got_state.values == want_state.values
-    assert got_state.rng.getstate() == want_state.rng.getstate()
-
-
-def _assert_lone_run(config: SimConfig, state: SimState, traj: Trajectory,
-                     values: list[int] | None = None) -> None:
-    """One of run's results is its config's lone run, stepped tick by tick."""
-    assert state.config == traj.config == config
-    alone, alone_traj = lone_run(config, values)
-    _assert_same_run(traj, state, alone_traj, alone)
+def _assert_lone_run(config: SimConfig, traj: Trajectory, values: list[int] | None = None):
+    """One of run's records is its config's lone run's, stepped tick by tick."""
+    assert traj.config == config
+    alone = lone_run(config, values)
+    assert traj.events == alone.events  # the change records included
+    assert (traj.initial, traj.graph, traj.final) == (alone.initial, alone.graph, alone.final)
 
 
 class TestLockstep:
     @given(configs=draw_group_cases())
     @settings(max_examples=120, deadline=None)
     def test_run_states_equals_lone_runs_bit_for_bit(self, configs):
-        for config, (state, traj) in zip(configs, run(configs)):
-            _assert_lone_run(config, state, traj)
+        for config, traj in zip(configs, run(configs)):
+            _assert_lone_run(config, traj)
 
     # seeds found by scanning: the v=1 lead absorbs at tick 21 while the other member
     # steps to the horizon; the lead steps to the horizon while the other settles with
@@ -328,11 +321,11 @@ class TestLockstep:
         base = SimConfig(n=4, k=1, f=0, activation_prob=0.9, max_ticks=40, seed=seed)
         configs = [base._replace(v=1, include_self=False),
                    base._replace(v=3, strategy="consensus")]
-        states, trajs = zip(*run(configs))
+        trajs = run(configs)
         assert (len(trajs[0].events), len(trajs[1].events)) == ticks
-        for config, state, traj in zip(configs, states, trajs):
-            _assert_lone_run(config, state, traj)
-            _assert_on_the_full_path(traj, state, init(config))
+        for config, traj in zip(configs, trajs):
+            _assert_lone_run(config, traj)
+            _assert_on_the_full_path(traj, init(config))
 
     def test_each_tick_steps_every_live_member_with_one_draw(self, monkeypatch):
         base = SimConfig(n=30, k=2, f=3, friend_prob=0.5, max_ticks=10, seed=4)
@@ -342,32 +335,11 @@ class TestLockstep:
             alone = init(config)
             lone.append([step(alone) for _ in range(10)])
         drawn = _count_draws(monkeypatch)
-        states, trajs = zip(*run(configs))
+        trajs = run(configs)
         assert len(drawn) == 10  # one draw per tick for the whole group
-        # one RNG object drew every tick: the lead's, which it keeps while unsettled
-        assert all(rng is drawn[0] for rng in drawn)
-        assert [state.rng is drawn[0] for state in states] == [True, False]
+        assert all(rng is drawn[0] for rng in drawn)  # one RNG object drew every tick
         assert [traj.events for traj in trajs] == lone  # every member stepped every tick
         assert all(a.sent == b.sent for a, b in zip(*lone))
-
-    # the seeds of TestSettled's mid-run settle test, where the lead never settles,
-    # settles after the v=5 member, and settles first; the two v=1 members with
-    # include_self never settle, so several members hold the group RNG's end state
-    @pytest.mark.parametrize("seed, lead_settles", [(2, False), (4, True), (0, True)])
-    def test_no_two_results_share_an_rng(self, seed, lead_settles):
-        base = SimConfig(n=12, k=2, f=0, activation_prob=0.8, max_ticks=40, seed=seed)
-        configs = [base._replace(v=1, include_self=False),
-                   base._replace(v=5, strategy="consensus"), base._replace(v=1),
-                   base._replace(v=1), base._replace(strategy="mixed", mixed_consensus_prob=0.5),
-                   base._replace(seed=seed + 1)]
-        results = run(configs)
-        assert [state.settled for state, _ in results[:4]] == [lead_settles, True, False, False]
-        rngs = [state.rng for state, _ in results]
-        assert len({id(rng) for rng in rngs}) == len(rngs)
-        for rng in rngs:
-            others = [other.getstate() for other in rngs if other is not rng]
-            rng.random()
-            assert [other.getstate() for other in rngs if other is not rng] == others
 
 
 # draw fields, each with a second value that keeps the base config valid
@@ -438,10 +410,10 @@ def _graph_key(config: SimConfig) -> tuple:
 
 
 def _assert_lone_runs(configs: list[SimConfig], results, values: list[int] | None = None):
-    """Each of run's results is its config's lone run, stepped tick by tick."""
+    """Each of run's records is its config's lone run's, stepped tick by tick."""
     assert len(results) == len(configs)
-    for config, (state, traj) in zip(configs, results):
-        _assert_lone_run(config, state, traj, values)
+    for config, traj in zip(configs, results):
+        _assert_lone_run(config, traj, values)
 
 
 class TestRunConfigs:
@@ -462,13 +434,29 @@ class TestRunConfigs:
         assert sorted(drawn) == sorted({_graph_key(c) for c in configs})
         _assert_lone_runs(configs, results)
 
+    @given(configs=run_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_each_record_holds_its_final_values_and_its_shared_graph(self, configs):
+        results = run(configs)
+        for config, traj in zip(configs, results):
+            values = list(traj.initial)
+            for events in traj.events:
+                for agent, new in zip(events.changes[0::2], events.changes[1::2]):
+                    values[agent] = new
+            assert traj.final == values
+            if len(set(traj.initial)) == 1:  # unanimous with empty inboxes: absorbing
+                assert traj.final == list(traj.initial) and traj.events == []
+            for other_config, other in zip(configs, results):
+                same_key = _graph_key(config) == _graph_key(other_config)
+                assert (traj.graph is other.graph) == same_key
+
     def test_equal_graph_keys_share_the_graph_but_not_the_initial_values(self):
         one = SimConfig(n=20, k=1, f=3, friend_prob=0.5, max_ticks=30, seed=9)
         configs = [one, one._replace(k=2)]
         results = run(configs)
-        (first, first_traj), (second, second_traj) = results
+        first, second = results
         assert first.graph is second.graph
-        assert first_traj.initial != second_traj.initial
+        assert first.initial != second.initial
         _assert_lone_runs(configs, results)
 
     def test_given_values_draw_nothing_before_tick_1(self, monkeypatch):
@@ -489,7 +477,7 @@ class TestRunConfigs:
         after_graph = random.Random(base.seed)
         make_friend_graph(base.n, base.f, after_graph)
         assert started == [after_graph.getstate()] * len(configs)
-        assert [traj.initial for _, traj in results] == [tuple(values)] * len(configs)
+        assert [traj.initial for traj in results] == [tuple(values)] * len(configs)
         _assert_lone_runs(configs, results, values)
 
     def test_given_values_must_fit_every_config(self):
@@ -545,26 +533,23 @@ def _settle_tick(traj: Trajectory) -> int:
                 len(traj.events))
 
 
-def _assert_on_the_full_path(traj: Trajectory, state: SimState, start: SimState) -> None:
-    """A run's record traj and end state against start, a state equal to the run's
-    first one, stepped on the full path: the same events until the run settles and
-    SETTLED after it, while the full path changes no value; the same end values;
-    the full path's RNG state at the tick the run settled; and an early stop only
-    at an absorbing state."""
+def _assert_on_the_full_path(traj: Trajectory, start: SimState) -> None:
+    """A run's record traj against start, a state equal to the run's first one,
+    stepped on the full path: the same events until the run settles and SETTLED
+    after it, while the full path changes no value; the same final values; and an
+    early stop only at an absorbing state."""
     full = _copy(start)
-    settled_rng = full.rng.getstate() if _is_settled(full) else None
+    settled = _is_settled(full)
     for events in traj.events:
-        if settled_rng is None:
+        if not settled:
             assert events == _full_step(full)  # the change records included
-            if _is_settled(full):
-                settled_rng = full.rng.getstate()
+            settled = _is_settled(full)
         else:
             assert events is SETTLED
             assert _full_step(full).changed == 0
-    assert state.values == full.values
-    assert state.rng.getstate() == (full.rng.getstate() if settled_rng is None else settled_rng)
+    assert traj.final == full.values
     if len(traj.events) < traj.config.max_ticks:
-        assert state.settled and not any(state.inboxes)
+        assert settled and not any(full.inboxes)
 
 
 @st.composite
@@ -645,7 +630,7 @@ class TestSettled:
         config = SimConfig(n=30, k=1, v=3, f=4, friend_prob=0.5, activation_prob=0.6,
                            max_ticks=120, seed=2)
         drawn = _count_draws(monkeypatch)
-        ((_, traj),) = run([config])
+        (traj,) = run([config])
         assert _settle_tick(traj) == len(drawn) == 28  # settled with votes queued
         assert len(traj.events) == 120
 
@@ -655,7 +640,7 @@ class TestSettled:
         configs = [base, base._replace(v=5, strategy="consensus"),
                    base._replace(v=2, include_self=False)]
         drawn = _count_draws(monkeypatch)
-        trajs = [traj for _, traj in run(configs)]
+        trajs = run(configs)
         assert [_settle_tick(traj) for traj in trajs] == [34, 70, 16]
         assert len(drawn) == 70
         assert [len(traj.events) for traj in trajs] == [120] * 3
@@ -672,13 +657,19 @@ class TestSettled:
     # settles first and the other settles and absorbs later; the reverse
     @pytest.mark.parametrize("seed, settles, ticks", [
         (2, (None, 15), (40, 40)), (4, (30, 15), (30, 40)), (0, (8, 14), (8, 40))])
-    def test_a_group_member_settles_mid_run_while_the_rest_go_on(self, seed, settles, ticks):
+    def test_a_group_member_settles_mid_run_while_the_rest_go_on(self, seed, settles, ticks,
+                                                                 monkeypatch):
         base = SimConfig(n=12, k=2, f=0, activation_prob=0.8, max_ticks=40, seed=seed)
         configs = [base._replace(v=1, include_self=False),
                    base._replace(v=5, strategy="consensus")]
-        states, trajs = zip(*run(configs))
+        drawn = _count_draws(monkeypatch)
+        trajs = run(configs)
+        # one RNG drew each tick until the last member settled, as its lone run draws
+        assert len(drawn) == max(_settle_tick(traj) for traj in trajs)
+        assert all(rng is drawn[0] for rng in drawn)
+        monkeypatch.undo()
         settled_at: list[int | None] = []
-        for config, state, traj in zip(configs, states, trajs):
+        for config, traj in zip(configs, trajs):
             alone = init(config)
             events, settled = [], None
             for tick in range(1, config.max_ticks + 1):
@@ -689,14 +680,13 @@ class TestSettled:
                     settled = tick
             settled_at.append(settled)
             assert traj.events == events
-            assert (state.values, state.inboxes) == (alone.values, alone.inboxes)
-            assert state.rng.getstate() == alone.rng.getstate()
-            _assert_on_the_full_path(traj, state, init(config))
+            assert traj.final == alone.values
+            _assert_on_the_full_path(traj, init(config))
         assert tuple(settled_at) == settles
         assert tuple(len(traj.events) for traj in trajs) == ticks
 
     @given(configs=draw_group_cases())
     @settings(max_examples=80, deadline=None)
     def test_groups_equal_lone_runs_on_the_full_path(self, configs):
-        for config, (state, traj) in zip(configs, run(configs)):
-            _assert_on_the_full_path(traj, state, init(config))
+        for config, traj in zip(configs, run(configs)):
+            _assert_on_the_full_path(traj, init(config))

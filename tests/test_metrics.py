@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import re
 
@@ -95,19 +96,22 @@ class TestTickMetrics:
 
     def test_change_rate_bounded_by_integration_rate_on_a_real_run(self):
         config = SimConfig(n=80, k=1, v=3, max_ticks=50, seed=21)
-        ((state, traj),) = run([config])
+        (traj,) = run([config])
         snaps = snapshots(traj)
         prev = snaps[0]
         for snap, events in zip(snaps[1:], traj.events):
-            tm = tick_metrics(prev, snap, state.graph, k=1)
+            tm = tick_metrics(prev, snap, traj.graph, k=1)
             assert tm.change_rate <= events.integrations / config.n + 1e-12
             prev = snap
 
 
 def observed(config: SimConfig) -> Observation:
     """The observation of config's lone run."""
-    ((state, traj),) = run([config])
-    return observe(traj, state.graph)
+    (traj,) = run([config])
+    return observe(traj)
+
+
+RATES = (steady_change_rate, dissent_change_rate, live_change_rate)
 
 
 class TestSteadyChangeRate:
@@ -116,7 +120,7 @@ class TestSteadyChangeRate:
         config = SimConfig(n=10, k=1, max_ticks=3, seed=0)
         populations = [[0] * 10, [1] + [0] * 9, [1] * 3 + [0] * 7, [1] * 6 + [0] * 4]
         traj = trajectory_from_snapshots(populations, config=config)
-        obs = observe(traj, FriendGraph([[] for _ in range(10)]))
+        obs = observe(traj)
         assert obs.changed == [0, 1, 2, 3]
         assert steady_change_rate(obs, burn_in=1) == pytest.approx(0.25)
 
@@ -141,51 +145,51 @@ class TestSteadyChangeRate:
 
     @pytest.mark.parametrize("burn_in", [-1, 100, 500])
     def test_rejects_out_of_range_burn_in(self, burn_in):
+        # every change rate checks burn_in against the horizon, however many ticks ran
         obs = observed(SimConfig(n=5, k=1, max_ticks=100, seed=2))
-        with pytest.raises(ValueError, match=re.escape(
-                f"burn_in must satisfy 0 <= burn_in < max_ticks=100, got {burn_in}")):
-            steady_change_rate(obs, burn_in)
+        for rate in RATES:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"burn_in must satisfy 0 <= burn_in < max_ticks=100, got {burn_in}")):
+                rate(obs, burn_in)
 
 
 class TestClusteringGap:
     def test_matched_halves_with_agreeing_friends(self):
         config = SimConfig(n=4, k=1, max_ticks=1, seed=0)
-        traj = trajectory_from_snapshots([[0, 0, 1, 1]], config=config)
-        graph = FriendGraph([[1], [0], [3], [2]])
-        assert clustering_gap(traj, graph, 0) == pytest.approx(0.5)
+        traj = trajectory_from_snapshots([[0, 0, 1, 1]], config, FriendGraph([[1], [0], [3], [2]]))
+        assert clustering_gap(traj, 0) == pytest.approx(0.5)
 
     def test_unanimity_gives_zero_gap(self):
         config = SimConfig(n=4, k=1, max_ticks=1, seed=0)
-        traj = trajectory_from_snapshots([[1, 1, 1, 1]], config=config)
-        graph = FriendGraph([[1], [2], [3], [0]])
-        assert clustering_gap(traj, graph, 0) == 0.0
+        traj = trajectory_from_snapshots([[1, 1, 1, 1]], config, FriendGraph([[1], [2], [3], [0]]))
+        assert clustering_gap(traj, 0) == 0.0
 
     def test_rejects_out_of_range_tick(self):
-        ((_, traj),) = run([SimConfig(n=5, k=1, max_ticks=10, seed=3)])
+        (traj,) = run([SimConfig(n=5, k=1, max_ticks=10, seed=3)])
         with pytest.raises(IndexError, match="tick"):
-            clustering_gap(traj, FriendGraph([[] for _ in range(5)]), len(traj.events) + 1)
+            clustering_gap(traj, len(traj.events) + 1)
 
 
 class TestTrajectoryHelpers:
     def test_trajectory_metrics_covers_every_snapshot(self):
-        ((state, traj),) = run([SimConfig(n=30, k=1, v=2, max_ticks=25, seed=4)])
-        per_tick = trajectory_metrics(traj, state.graph)
+        (traj,) = run([SimConfig(n=30, k=1, v=2, max_ticks=25, seed=4)])
+        per_tick = trajectory_metrics(traj)
         assert len(per_tick) == len(traj.events) + 1
         assert per_tick[0].change_rate == 0.0
 
     def test_convergence_tick_finds_first_unanimous_snapshot(self):
         config = SimConfig(n=8, k=1, max_ticks=1, seed=0)
         traj = trajectory_from_snapshots([[0, 1] * 4, [0] * 8, [0] * 8], config=config)
-        assert convergence_tick(observe(traj, FriendGraph([[] for _ in range(8)]))) == 1
+        assert convergence_tick(observe(traj)) == 1
 
     def test_convergence_tick_none_when_never_unanimous(self):
         config = SimConfig(n=4, k=1, max_ticks=1, seed=0)
         traj = trajectory_from_snapshots([[0, 1, 0, 1]], config=config)
-        assert convergence_tick(observe(traj, FriendGraph([[] for _ in range(4)]))) is None
+        assert convergence_tick(observe(traj)) is None
 
     def test_winning_count_constant_after_convergence(self):
-        ((state, traj),) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
-        tick = convergence_tick(observe(traj, state.graph))
+        (traj,) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
+        tick = convergence_tick(observe(traj))
         assert tick is not None  # this config reliably reaches unanimity
         for snap in snapshots(traj)[tick:]:
             assert np.bincount(snap, minlength=2).max() == 60
@@ -197,8 +201,7 @@ class TestRatesOverTheObservation:
 
     def observation(self):
         config = SimConfig(n=4, k=1, max_ticks=3, seed=0)
-        traj = trajectory_from_snapshots(self.SNAPSHOTS, config=config)
-        return observe(traj, FriendGraph([[] for _ in range(4)]))
+        return observe(trajectory_from_snapshots(self.SNAPSHOTS, config=config))
 
     def test_observed_changes_per_tick(self):
         assert self.observation().changed == [0, 1, 1, 0]
@@ -217,19 +220,22 @@ class TestRatesOverTheObservation:
 
     def test_dissent_change_rate_rejects_a_negative_burn_in(self):
         # a negative burn_in would slice from the end, not skip a burn-in
-        with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
-            dissent_change_rate(self.observation(), burn_in=-1)
+        for rate in RATES:
+            with pytest.raises(ValueError, match=re.escape(
+                    "burn_in must satisfy 0 <= burn_in < max_ticks=3, got -1")):
+                rate(self.observation(), burn_in=-1)
 
     def test_live_change_rate_rejects_a_negative_burn_in(self):
-        with pytest.raises(ValueError, match="burn_in must be >= 0, got -3"):
-            live_change_rate(self.observation(), burn_in=-3)
+        for rate in RATES:
+            with pytest.raises(ValueError, match=re.escape(
+                    "burn_in must satisfy 0 <= burn_in < max_ticks=3, got -3")):
+                rate(self.observation(), burn_in=-3)
 
     def test_gaps_match_clustering_gap_and_reject_ticks_outside_the_run(self):
         config = SimConfig(n=4, k=1, max_ticks=3, seed=0)
-        traj = trajectory_from_snapshots(self.SNAPSHOTS, config=config)
-        graph = FriendGraph([[1], [0], [3], [2]])
-        obs = observe(traj, graph)
-        assert obs.gaps(0, 4) == [clustering_gap(traj, graph, t) for t in range(4)]
+        traj = trajectory_from_snapshots(self.SNAPSHOTS, config, FriendGraph([[1], [0], [3], [2]]))
+        obs = observe(traj)
+        assert obs.gaps(0, 4) == [clustering_gap(traj, t) for t in range(4)]
         for start, stop in ((0, 5), (2, 2), (-1, 1)):
             with pytest.raises(IndexError, match="outside"):
                 obs.gaps(start, stop)
@@ -279,14 +285,14 @@ SHAPES = {
 
 def assert_observation_matches_tick_metrics(config: SimConfig):
     """observe() equals the numpy oracle's tick_metrics at every tick, floats bit for bit."""
-    ((state, traj),) = run([config])
-    obs = observe(traj, state.graph)
-    src, dst = edge_arrays(state.graph)
+    (traj,) = run([config])
+    obs = observe(traj)
+    src, dst = edge_arrays(traj.graph)
     snaps = snapshots(traj)
     assert len(obs.winning_count) == len(snaps)
     prev = snaps[0]
     for tick, snap in enumerate(snaps):
-        ref = tick_metrics(prev, snap, state.graph, config.k)
+        ref = tick_metrics(prev, snap, traj.graph, config.k)
         assert list(obs.histograms[tick]) == ref.histogram.tolist()
         assert obs.winning_count[tick] == ref.winning_count
         assert obs.changed[tick] / obs.n == ref.change_rate
@@ -299,7 +305,7 @@ def assert_observation_matches_tick_metrics(config: SimConfig):
             assert ref.friend_agreement == float(np.mean(snap[src] == snap[dst]))
         assert ref.random_agreement == float(np.sum((ref.histogram / config.n) ** 2))
         prev = snap
-    for tick, tm in enumerate(trajectory_metrics(traj, state.graph)):
+    for tick, tm in enumerate(trajectory_metrics(traj)):
         assert tm.histogram.tolist() == list(obs.histograms[tick])
         assert (tm.winning_count, tm.change_rate, tm.friend_agreement, tm.random_agreement) == (
             obs.winning_count[tick], obs.changed[tick] / obs.n, obs.friend_agreement[tick],
@@ -329,21 +335,21 @@ class TestObserve:
         configs = [config] + [config._replace(v=v, strategy=strategy, mixed_consensus_prob=0.0,
                                               include_self=include_self)
                               for v, strategy, include_self in members]
-        for state, traj in run(configs):
-            obs = observe(traj, state.graph)
+        for traj in run(configs):
+            obs = observe(traj)
             assert obs.max_ticks == traj.config.max_ticks
             for burn_in in range(traj.config.max_ticks):
                 tail = traj.events[burn_in:]
                 want = sum(e.changed for e in tail) / (len(tail) * traj.config.n) if tail else 0.0
                 assert steady_change_rate(obs, burn_in) == want
-            for burn_in in (-1, traj.config.max_ticks):
+            for burn_in, rate in itertools.product((-1, traj.config.max_ticks), RATES):
                 with pytest.raises(ValueError, match=re.escape(
                         f"burn_in must satisfy 0 <= burn_in < max_ticks={traj.config.max_ticks}, "
                         f"got {burn_in}")):
-                    steady_change_rate(obs, burn_in)
+                    rate(obs, burn_in)
 
     def test_unchanged_ticks_share_one_empty_change_record(self):
-        ((state, traj),) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
+        (traj,) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
         unchanged = [e.changes is NO_CHANGES for e in traj.events]
         assert unchanged == [e.changed == 0 for e in traj.events]
         assert any(unchanged) and not all(unchanged)
@@ -356,11 +362,11 @@ class TestObserve:
             for agent, new in zip(agents, event.changes[1::2]):
                 assert values[agent] != new
                 values[agent] = new
-        assert values == state.values
+        assert values == traj.final
 
     def test_shared_ticks_share_one_histogram(self):
-        ((state, traj),) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
-        obs = observe(traj, state.graph)
+        (traj,) = run([SimConfig(n=60, k=1, v=3, max_ticks=300, seed=14)])
+        obs = observe(traj)
         for t in range(1, len(traj.events) + 1):
             same = not traj.events[t - 1].changes
             assert (obs.histograms[t] is obs.histograms[t - 1]) == same
@@ -372,23 +378,24 @@ class TestObserve:
         config = SimConfig(n=2, k=1, max_ticks=1, seed=0)
         traj = trajectory_from_snapshots([[0, 1], [0, 5]], config=config)
         with pytest.raises(ValueError, match="domain"):
-            observe(traj, FriendGraph([[], []]))
+            observe(traj)
 
     def test_rejects_a_graph_of_another_size(self):
-        traj = trajectory_from_snapshots([[0, 1, 0]], SimConfig(n=3, k=1, max_ticks=1, seed=0))
+        traj = trajectory_from_snapshots([[0, 1, 0]], SimConfig(n=3, k=1, max_ticks=1, seed=0),
+                                         FriendGraph([[], []]))
         with pytest.raises(ValueError, match="trajectory has 3 agents but graph has 2"):
-            observe(traj, FriendGraph([[], []]))
+            observe(traj)
 
     def test_rejects_an_empty_trajectory(self):
         traj = trajectory_from_snapshots([[]], SimConfig(n=1, k=1, max_ticks=1, seed=0))
         with pytest.raises(ValueError, match="empty trajectory"):
-            observe(traj, FriendGraph([]))
+            observe(traj)
 
     @pytest.mark.parametrize("initial", [[0, 2], [-1, 0]])
     def test_rejects_initial_values_outside_the_domain(self, initial):
         traj = trajectory_from_snapshots([initial], SimConfig(n=2, k=1, max_ticks=1, seed=0))
         with pytest.raises(ValueError, match=re.escape("values outside domain 0..1")):
-            observe(traj, FriendGraph([[], []]))
+            observe(traj)
 
 
 class TestPairwiseSum:

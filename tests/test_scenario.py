@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import snapshots, trajectory_from_snapshots, trajectory_metrics
 
-from gossipvote.engine import run
+from gossipvote.engine import init, run
 from gossipvote.metrics import observe
 from gossipvote import output as output_module
 from gossipvote import scenario as scenario_module
@@ -125,8 +125,8 @@ class TestScenarioConfig:
 
 class TestCsvRendering:
     def test_trajectory_csv_shape(self):
-        ((state, traj),) = run([SimConfig(n=10, k=2, v=2, max_ticks=5, seed=3)])
-        text = trajectory_csv(observe(traj, state.graph))
+        (traj,) = run([SimConfig(n=10, k=2, v=2, max_ticks=5, seed=3)])
+        text = trajectory_csv(observe(traj))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == ["tick", "value", "count"]
         body = rows[1:]
@@ -139,8 +139,8 @@ class TestCsvRendering:
 
     def test_metrics_csv_shape(self):
         config = SimConfig(n=10, k=1, v=2, f=2, friend_prob=0.5, max_ticks=5, seed=3)
-        ((state, traj),) = run([config])
-        text = metrics_csv(observe(traj, state.graph))
+        (traj,) = run([config])
+        text = metrics_csv(observe(traj))
         rows = list(csv.reader(io.StringIO(text)))
         assert rows[0] == [
             "tick", "winning_count", "change_rate", "friend_agreement", "random_agreement",
@@ -155,24 +155,27 @@ class TestCsvRendering:
     def test_equal_but_distinct_snapshots_give_the_same_csv_bytes(self):
         """A trajectory rebuilt from one array per tick writes what the run writes."""
         config = SimConfig(n=60, k=1, v=3, f=4, friend_prob=0.4, max_ticks=300, seed=14)
-        ((state, traj),) = run([config])
-        rebuilt = trajectory_from_snapshots([s.tolist() for s in snapshots(traj)], config)
+        (traj,) = run([config])
+        rebuilt = trajectory_from_snapshots([s.tolist() for s in snapshots(traj)], config,
+                                            traj.graph)
         assert rebuilt.events != traj.events  # only the change records survive the trip
         assert [e.changes for e in rebuilt.events] == [e.changes for e in traj.events]
-        run_obs, rebuilt_obs = observe(traj, state.graph), observe(rebuilt, state.graph)
+        run_obs, rebuilt_obs = observe(traj), observe(rebuilt)
         assert trajectory_csv(rebuilt_obs) == trajectory_csv(run_obs)
         assert metrics_csv(rebuilt_obs) == metrics_csv(run_obs)
 
     @pytest.mark.parametrize("k", [1, 255])
     def test_uint8_snapshots_write_the_bytes_of_int64_ones(self, k):
-        """The CSVs equal the numpy oracle's, rendered from int64 snapshots; the
+        """The CSVs equal the numpy oracle's, rendered from int64 snapshots; a
         state's own snapshot stays uint8 up to k=255."""
-        ((state, traj),) = run([SimConfig(n=30, k=k, v=2, f=3, friend_prob=0.4, max_ticks=25, seed=5)])
-        assert state.snapshot().dtype == np.uint8
-        assert state.snapshot().tolist() == snapshots(traj)[-1].tolist()
-        reference = trajectory_metrics(traj, state.graph)
+        config = SimConfig(n=30, k=k, v=2, f=3, friend_prob=0.4, max_ticks=25, seed=5)
+        (traj,) = run([config])
+        final = init(config, values=traj.final).snapshot()
+        assert final.dtype == np.uint8
+        assert final.tolist() == snapshots(traj)[-1].tolist()
+        reference = trajectory_metrics(traj)
         assert {s.dtype for s in snapshots(traj)} == {np.dtype(np.int64)}
-        obs = observe(traj, state.graph)
+        obs = observe(traj)
         assert trajectory_csv(obs) == "tick,value,count\r\n" + "".join(
             f"{tick},{value},{count}\r\n" for tick, tm in enumerate(reference)
             for value, count in enumerate(tm.histogram.tolist()))
@@ -219,8 +222,8 @@ class TestWriteAtomic:
         with pytest.raises(OSError, match="No space"):
             simulate_scenario(scenario, str(tmp_path))
         assert [p.name for p in tmp_path.iterdir()] == ["trajectory_rep000.csv"]
-        ((state, traj),) = run([scenario.sim])  # replication 0 runs at the scenario's seed
-        expected = trajectory_csv(observe(traj, state.graph))
+        (traj,) = run([scenario.sim])  # replication 0 runs at the scenario's seed
+        expected = trajectory_csv(observe(traj))
         assert (tmp_path / "trajectory_rep000.csv").read_bytes() == expected.encode()
 
 

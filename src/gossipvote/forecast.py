@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .engine import run
 from .engine import step  # noqa: F401  perfbench's tracer test reads forecast.step
 from .integration import integrate
-from .model import ConfigError, SimConfig
+from .model import ConfigError, SimConfig, _ascii_number
 
 # the replay layer fixes these; only v/f/friend_prob/strategy vary by variant
 ACTIVATION_PROB = 0.5
@@ -127,10 +127,8 @@ def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, list[
 
 
 def _parse_int(text: str, path: str, line: int, column: str) -> int:
-    try:  # int() also reads "1_0" and non-ASCII digits
-        if "_" in text or not text.strip().isascii():
-            raise ValueError
-        return int(text.strip())
+    try:
+        return _ascii_number(text.strip())
     except ValueError:
         raise DatasetError(
             f"{path}:{line}: {column} must be an integer, got {text!r}"

@@ -51,11 +51,18 @@ def integrate_inboxes(values: list[int], inboxes: list[list[int]],
         else:
             result = own
             best = votes.count(own)
-            if 2 * best < size:
-                for value in sorted(set(votes)):
-                    count = votes.count(value)
+            if 2 * best < size:  # one pass over the sorted votes, a run per distinct value
+                votes.sort()
+                value, count = votes[0], 0
+                for vote in votes:
+                    if vote == value:
+                        count += 1
+                        continue
                     if count > best:
                         result, best = value, count
+                    value, count = vote, 1
+                if count > best:
+                    result = value
         votes.clear()
         if result != own:
             values[agent] = result

@@ -32,11 +32,26 @@ def check_field_types(config: tuple, fields: type) -> None:
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
+def _ascii_number(text: str, kind: type = int) -> int | float:
+    """kind(text), kind int or float, for ASCII decimal text only; else ValueError.
+
+    int() and float() alone also read PEP 515 underscores ("1_0" as 10) and
+    non-ASCII digits; the command line, the sweep grid and the forecast CSVs
+    read their numbers through here instead.
+    """
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not an ASCII decimal literal: {text!r}")
+    return kind(text)
+
+
 class FriendGraph:
     """Directed adjacency of preferential channels, fixed for a whole run.
 
     Hand-built graphs may mix out-degrees; graphs from :func:`make_friend_graph`
     have uniform out-degree f. Self-loops and duplicate entries are rejected.
+    friendless, the lowest id of an agent without friends (None when every
+    agent has one), is found once, when the graph is built; the engine checks
+    a row that was emptied later when it picks from it.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
@@ -52,14 +67,18 @@ class FriendGraph:
                     raise ValueError(
                         f"agent {agent_id} has friend {target} outside 0..{n - 1}"
                     )
-        self.adjacency = adj
+        self._set_rows(adj)
 
     @classmethod
     def _sampled(cls, adjacency: list[list[int]]) -> FriendGraph:
         """Wrap a sampler's rows, which hold by construction what __init__ checks."""
         graph = cls.__new__(cls)
-        graph.adjacency = adjacency
+        graph._set_rows(adjacency)
         return graph
+
+    def _set_rows(self, adjacency: list[list[int]]) -> None:
+        self.adjacency = adjacency
+        self.friendless = adjacency.index([]) if [] in adjacency else None
 
     @property
     def n_agents(self) -> int:
@@ -193,11 +212,12 @@ def make_friend_graph(
     set_size = 21 + (4 ** math.ceil(math.log(f * 3, 4)) if f > 5 else 0)
     adjacency = []
     if others <= set_size:
+        everyone = list(range(others))
+        widths = [(size, size.bit_length()) for size in range(others, others - f, -1)]
         for agent_id in range(n):
-            pool = list(range(others))
+            pool = everyone[:]
             picks = []
-            for size in range(others, others - f, -1):
-                bits = size.bit_length()
+            for size, bits in widths:
                 pick = getrandbits(bits)
                 while pick >= size:
                     pick = getrandbits(bits)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .engine import draw_groups, run
 from .metrics import Observation, convergence_tick, observe, pairwise_sum, steady_change_rate
-from .model import ConfigError, SimConfig, check_field_types
+from .model import ConfigError, SimConfig, _ascii_number, check_field_types
 from .output import json_text, write_atomic
 
 OUTPUT_KINDS = ("trajectory_csv", "metrics_csv", "summary_json")
@@ -367,10 +367,8 @@ def parse_grid(text: str) -> dict[str, list]:
         values = []
         for chunk in values_text.split(","):
             chunk = chunk.strip()
-            try:  # int() and float() also read "1_0" and non-ASCII digits
-                if "_" in chunk or not chunk.isascii():
-                    raise ValueError
-                value = float(chunk) if key == "friend_prob" else int(chunk)
+            try:
+                value = _ascii_number(chunk, float if key == "friend_prob" else int)
             except ValueError:
                 raise ConfigError(f"bad value {chunk!r} for grid key {key!r}") from None
             if value in values:

@@ -522,11 +522,29 @@ def _underscore_grid_float(tmp_path) -> tuple[list[str], str]:
         "bad value '0.1_5' for grid key 'friend_prob'"
 
 
+# argparse's type=int alone would run these at seed 10 and with one worker
+def _underscore_forecast_seed(tmp_path) -> tuple[list[str], str]:
+    return [*_forecast_files(tmp_path), "--seed", "1_0"], \
+        "argument --seed: invalid int value: '1_0'"
+
+
+def _non_ascii_simulate_workers(tmp_path) -> tuple[list[str], str]:
+    return ["simulate", "--scenario", str(small_scenario_file(tmp_path)), "--out",
+            str(tmp_path / "o"), "--workers", "\u0661"], \
+        "argument --workers: invalid int value: '\u0661'"
+
+
+def _underscore_sweep_workers(tmp_path) -> tuple[list[str], str]:
+    return [*_sweep_grid(tmp_path, "v=2,3"), "--workers", "1_0"], \
+        "argument --workers: invalid int value: '1_0'"
+
+
 class TestErrorMessages:
     @pytest.mark.parametrize("case", [
         _empty_day, _empty_source, _extra_field, _no_variant_names, _grid_entry_without_values,
         _underscore_actual, _non_ascii_prediction, _underscore_grid_value, _non_ascii_grid_value,
-        _underscore_grid_float,
+        _underscore_grid_float, _underscore_forecast_seed, _non_ascii_simulate_workers,
+        _underscore_sweep_workers,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_is_exactly_one_error_line(self, tmp_path, capsys, case):
         argv, message = case(tmp_path)

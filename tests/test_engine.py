@@ -450,6 +450,23 @@ class TestRunConfigs:
                 same_key = _graph_key(config) == _graph_key(other_config)
                 assert (traj.graph is other.graph) == same_key
 
+    @given(configs=run_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_every_member_calls_engine_step_once_per_recorded_tick(self, configs):
+        # perfbench counts agent-ticks as traced engine.step calls times n
+        calls: dict[int, int] = {}  # by the id of a state's values list, its record's final
+
+        def counted_step(state, sends=None):
+            calls[id(state.values)] = calls.get(id(state.values), 0) + 1
+            return step(state, sends)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "step", counted_step)
+            results = run(configs)
+        assert sum(calls.values()) == sum(len(traj.events) for traj in results)
+        assert [calls.get(id(traj.final), 0) for traj in results] == [
+            len(traj.events) for traj in results]
+
     def test_equal_graph_keys_share_the_graph_but_not_the_initial_values(self):
         one = SimConfig(n=20, k=1, f=3, friend_prob=0.5, max_ticks=30, seed=9)
         configs = [one, one._replace(k=2)]
@@ -516,14 +533,27 @@ def _is_settled(state: SimState) -> bool:
 
 
 def _count_draws(monkeypatch) -> list[random.Random]:
-    """Route engine.draw_sends through a log of the RNGs it draws from; returns the log."""
+    """Log the RNG of every tick that moved a drawing RNG's state; returns the log.
+
+    A group's tick draws in engine.draw_sends, a lone run's inside engine.step
+    (whose given sends draw nothing, as groups hold no mixed run), so each
+    drawing tick is logged once, on either path.
+    """
     drawn: list[random.Random] = []
 
     def counted_draw_sends(config, graph, rng):
         drawn.append(rng)
         return draw_sends(config, graph, rng)
 
+    def counted_step(state, sends=None):
+        before = state.rng.getstate()
+        events = step(state, sends)
+        if state.rng.getstate() != before:
+            drawn.append(state.rng)
+        return events
+
     monkeypatch.setattr(engine, "draw_sends", counted_draw_sends)
+    monkeypatch.setattr(engine, "step", counted_step)
     return drawn
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import edge_arrays
 from scipy import stats
 
-from gossipvote.engine import SimState, init, step
+from gossipvote.engine import SimState, draw_sends, init, step
 from gossipvote.model import (
     ConfigError,
     FriendGraph,
@@ -239,6 +241,25 @@ def _probe(n: int, f: int = 0, friend_prob: float = 0.0, seed: int = 0) -> SimSt
     return init(config, values=list(range(n)))
 
 
+# the two decoders of a tick's draws: a lone run's inside step, a draw group's draw_sends
+TICKS = (step, lambda state: step(state, draw_sends(state.config, state.graph, state.rng)))
+
+
+@contextmanager
+def _time_limit(seconds: int):
+    """Raise TimeoutError in the block once it has run `seconds` seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _sends(state: SimState) -> list[tuple[int, int]]:
     """(sender, target) of every message of one tick; empties the inboxes."""
     step(state)
@@ -264,22 +285,35 @@ class TestSelectTarget:
         assert all(_sends(state) == [(1, 0), (0, 1)] for _ in range(100))
 
     def test_rejects_friendless_sender_with_positive_friend_prob(self):
-        state = _probe(2, f=1, friend_prob=0.4)
-        state.graph = FriendGraph([[], []])
         message = r"^friend_prob=0.4 needs a non-empty friend list \(agent \d has none\)$"
-        with pytest.raises(ValueError, match=message):
-            step(state)
+        for tick in TICKS:
+            state = _probe(2, f=1, friend_prob=0.4)
+            state.graph = FriendGraph([[], []])
+            with pytest.raises(ValueError, match=message):
+                tick(state)
 
     def test_rejects_a_friendless_agent_before_any_coin_even_if_it_never_activates(self):
         # with activation 1e-9 no agent activates, yet the first draw names agent 2
         config = SimConfig(n=3, k=2, f=1, friend_prob=0.4, activation_prob=1e-9, seed=3)
-        state = init(config, values=[0, 1, 2])
-        state.graph = FriendGraph([[1], [0], []])
-        before = state.rng.getstate()
-        with pytest.raises(ValueError, match=r"\(agent 2 has none\)$"):
-            step(state)
-        assert state.rng.getstate() == before
-        assert state.inboxes == [[], [], []]
+        for tick in TICKS:
+            state = init(config, values=[0, 1, 2])
+            state.graph = FriendGraph([[1], [0], []])
+            before = state.rng.getstate()
+            with pytest.raises(ValueError, match=r"\(agent 2 has none\)$"):
+                tick(state)
+            assert state.rng.getstate() == before
+            assert state.inboxes == [[], [], []]
+
+    def test_a_row_emptied_after_the_graph_is_built_raises_and_never_spins(self):
+        # a pick from an empty row would spin forever: getrandbits(0) is 0
+        config = SimConfig(n=3, k=2, f=1, friend_prob=1.0, activation_prob=1.0, seed=3)
+        message = r"^friend_prob=1.0 needs a non-empty friend list \(agent 2 has none\)$"
+        for tick in TICKS:
+            state = init(config, values=[0, 1, 2])
+            state.graph.adjacency[2].clear()
+            assert state.graph.friendless is None  # found when the graph was built
+            with _time_limit(10), pytest.raises(ValueError, match=message):
+                tick(state)
 
     def test_friend_hit_frequency_matches_mixture(self):
         # friends can also be hit through the uniform branch:

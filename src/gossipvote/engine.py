@@ -255,14 +255,18 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
 
     sends is draw_sends' result for this tick, drawn once for this state's
     draw group; None draws the tick from this state's RNG, delivering each
-    send as it is drawn. Both make the same draws and deliveries. A settled state returns SETTLED without reading sends or
-    drawing: its values, inboxes and RNG stay as they are.
+    send as it is drawn. Both make the same draws and deliveries. A settled
+    state returns SETTLED without reading sends or drawing: its values,
+    inboxes and RNG stay as they are.
+
+    A friend row emptied after the graph was built raises ValueError at its
+    pick (see draw_sends). Drawn here, the inboxes then already hold the
+    tick's earlier sends; draw_sends raises before any delivery.
     """
     if state.settled:
         return SETTLED
-    # one unpack of the config, not an attribute read per field
-    n, _, v, _, friend_prob, activation, strategy, consensus_prob, include_self, _, _, _ = (
-        state.config)
+    cfg = state.config
+    v = cfg.v
     values, inboxes = state.values, state.inboxes
     full: list[int] = []  # agents whose inbox reached v during this tick
     # phase 2: values cannot change before phase 3, so senders' values are pre-integration
@@ -274,6 +278,7 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
             if len(inbox) == v:
                 full.append(target)
     else:  # phases 1 and 2 in one pass: draw_sends' draws, each delivered as it is drawn
+        n, friend_prob, activation = cfg.n, cfg.friend_prob, cfg.activation_prob
         rng = state.rng
         rand, getrandbits = rng.random, rng.getrandbits
         sent = 0
@@ -316,8 +321,8 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
     # phase 3, one pass over the full inboxes in agent order; integration
     # clears an inbox, so only `full` can be at v
     full.sort()
-    changes = integrate_inboxes(values, inboxes, full, v, include_self, strategy,
-                                consensus_prob, state.rng)
+    changes = integrate_inboxes(values, inboxes, full, v, cfg.include_self, cfg.strategy,
+                                cfg.mixed_consensus_prob, state.rng)
     state.settled = _settled(values, inboxes)
     return _new_events(TickEvents, (sent, sent, len(full), len(changes) // 2,
                                     array("q", changes) if changes else NO_CHANGES))
@@ -334,16 +339,8 @@ def _run_group(states: list[SimState]) -> list[Trajectory]:
     place.
     """
     lead = states[0]
+    grouped = len(states) > 1
     trajs = [Trajectory(tuple(s.values), [], s.config, s.graph, s.values) for s in states]
-    if len(states) == 1:
-        if not lead.settled:  # a state run built has empty inboxes: settled is absorbing
-            add = trajs[0].events.append
-            for _ in range(lead.config.max_ticks):
-                events = step(lead)
-                add(events)
-                if lead.settled and events is not SETTLED and not any(lead.inboxes):
-                    break  # absorbing at the tick it settled
-        return trajs
     live = list(zip(states, trajs))
     drawing = len(states)  # unsettled members; equal starts settle all or none
     settling = True  # an initially absorbing member takes no tick
@@ -354,7 +351,7 @@ def _run_group(states: list[SimState]) -> list[Trajectory]:
                 break
             settling = False
         # a settled step reads no sends
-        sends = draw_sends(lead.config, lead.graph, lead.rng) if drawing else None
+        sends = draw_sends(lead.config, lead.graph, lead.rng) if drawing and grouped else None
         # plain loops, not comprehensions: this runs once per tick of every run
         for state, traj in live:
             events = step(state, sends)

@@ -49,9 +49,6 @@ class FriendGraph:
 
     Hand-built graphs may mix out-degrees; graphs from :func:`make_friend_graph`
     have uniform out-degree f. Self-loops and duplicate entries are rejected.
-    friendless, the lowest id of an agent without friends (None when every
-    agent has one), is found once, when the graph is built; the engine checks
-    a row that was emptied later when it picks from it.
     """
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
@@ -78,7 +75,21 @@ class FriendGraph:
 
     def _set_rows(self, adjacency: list[list[int]]) -> None:
         self.adjacency = adjacency
-        self.friendless = adjacency.index([]) if [] in adjacency else None
+        self._friendless = adjacency.index([]) if [] in adjacency else None
+
+    @property
+    def friendless(self) -> int | None:
+        """An agent without friends, None when every agent has one; O(1) per tick.
+
+        Found once, when the graph is built, and found again only once that
+        agent's row is filled in. The engine checks a row emptied later when it
+        picks from it.
+        """
+        agent = self._friendless
+        if agent is not None and self.adjacency[agent]:
+            rows = self.adjacency
+            agent = self._friendless = rows.index([]) if [] in rows else None
+        return agent
 
     @property
     def n_agents(self) -> int:
@@ -212,12 +223,11 @@ def make_friend_graph(
     set_size = 21 + (4 ** math.ceil(math.log(f * 3, 4)) if f > 5 else 0)
     adjacency = []
     if others <= set_size:
-        everyone = list(range(others))
-        widths = [(size, size.bit_length()) for size in range(others, others - f, -1)]
         for agent_id in range(n):
-            pool = everyone[:]
+            pool = list(range(others))
             picks = []
-            for size, bits in widths:
+            for size in range(others, others - f, -1):
+                bits = size.bit_length()
                 pick = getrandbits(bits)
                 while pick >= size:
                     pick = getrandbits(bits)

@@ -308,12 +308,30 @@ class TestSelectTarget:
         # a pick from an empty row would spin forever: getrandbits(0) is 0
         config = SimConfig(n=3, k=2, f=1, friend_prob=1.0, activation_prob=1.0, seed=3)
         message = r"^friend_prob=1.0 needs a non-empty friend list \(agent 2 has none\)$"
+        left = []
         for tick in TICKS:
             state = init(config, values=[0, 1, 2])
             state.graph.adjacency[2].clear()
             assert state.graph.friendless is None  # found when the graph was built
             with _time_limit(10), pytest.raises(ValueError, match=message):
                 tick(state)
+            left.append(state.inboxes)
+        # step has delivered agents 0 and 1's sends by then (each value is its
+        # sender's id); draw_sends raises before any delivery
+        delivered: list[list[int]] = [[], [], []]
+        for sender in (0, 1):
+            delivered[state.graph.adjacency[sender][0]].append(sender)
+        assert left == [delivered, [[], [], []]]
+
+    def test_a_row_filled_in_after_the_graph_is_built_is_read(self):
+        config = SimConfig(n=3, k=2, f=1, friend_prob=1.0, activation_prob=1.0, seed=3)
+        for tick in TICKS:
+            state = init(config, values=[0, 1, 2])
+            state.graph = FriendGraph([[1], [0], []])
+            state.graph.adjacency[2].append(0)
+            tick(state)
+            assert state.graph.friendless is None
+            assert state.inboxes == [[1, 2], [0], []]
 
     def test_friend_hit_frequency_matches_mixture(self):
         # friends can also be hit through the uniform branch:

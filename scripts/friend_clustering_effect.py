@@ -12,6 +12,7 @@ import argparse
 import statistics
 
 from gossipvote import ConfigError, SimConfig, observe, run
+from gossipvote.cli import _number
 
 
 def mean_gaps(seed: int, args: argparse.Namespace) -> tuple[float, float]:
@@ -28,12 +29,12 @@ def mean_gaps(seed: int, args: argparse.Namespace) -> tuple[float, float]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=30)
-    parser.add_argument("--base-seed", type=int, default=2000)
-    parser.add_argument("--friends", type=int, default=20)
-    parser.add_argument("--friend-prob", type=float, default=0.4)
-    parser.add_argument("--first-tick", type=int, default=50)
-    parser.add_argument("--last-tick", type=int, default=200)
+    parser.add_argument("--seeds", type=_number, default=30)
+    parser.add_argument("--base-seed", type=_number, default=2000)
+    parser.add_argument("--friends", type=_number, default=20)
+    parser.add_argument("--friend-prob", type=lambda text: _number(text, float), default=0.4)
+    parser.add_argument("--first-tick", type=_number, default=50)
+    parser.add_argument("--last-tick", type=_number, default=200)
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")

@@ -16,6 +16,8 @@ import math
 import os
 from datetime import date, timedelta
 
+from gossipvote.cli import _number
+
 BIASES = {"bias_m2": -2, "bias_m1": -1, "bias_0": 0, "bias_p1": 1, "bias_p2": 2}
 
 
@@ -27,7 +29,7 @@ def actual_for(day_index: int) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--days", type=int, default=60, help="number of days")
+    parser.add_argument("--days", type=_number, default=60, help="number of days")
     parser.add_argument("--start", default="2016-10-01", help="first day (ISO date)")
     parser.add_argument("--out-dir", default="data", help="output directory")
     args = parser.parse_args()

@@ -25,6 +25,7 @@ from gossipvote import (
     run,
     steady_change_rate,
 )
+from gossipvote.cli import _number
 
 RATES = ("changes per dissenting agent-tick", "per-tick rate up to unanimity", "steady rate")
 
@@ -51,12 +52,12 @@ def arms(
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=30, help="paired seed count")
-    parser.add_argument("--base-seed", type=int, default=1000)
-    parser.add_argument("--v-low", type=int, default=3)
-    parser.add_argument("--v-high", type=int, default=20)
-    parser.add_argument("--horizon", type=int, default=500)
-    parser.add_argument("--burn-in", type=int, default=50)
+    parser.add_argument("--seeds", type=_number, default=30, help="paired seed count")
+    parser.add_argument("--base-seed", type=_number, default=1000)
+    parser.add_argument("--v-low", type=_number, default=3)
+    parser.add_argument("--v-high", type=_number, default=20)
+    parser.add_argument("--horizon", type=_number, default=500)
+    parser.add_argument("--burn-in", type=_number, default=50)
     args = parser.parse_args()
     if args.seeds < 1:
         parser.error(f"--seeds must be >= 1, got {args.seeds}")

@@ -29,12 +29,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int(text: str) -> int:
-    """An argparse type: an int read by the rule the grid and CSV readers apply."""
+def _number(text: str, kind: type = int) -> int | float:
+    """An argparse type: text read as kind by the rule the grid and CSV readers apply."""
     try:
-        return _ascii_number(text)
+        return _ascii_number(text, kind)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,14 +47,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scenario's replications")
     sim.add_argument("--scenario", required=True, help="path to a .scenario JSON file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--workers", type=_int, default=1,
+    sim.add_argument("--workers", type=_number, default=1,
                      help="processes that run replications, this one included")
 
     swp = sub.add_parser("sweep", help="run a scenario over a parameter grid")
     swp.add_argument("--scenario", required=True, help="path to a .scenario JSON file")
     swp.add_argument("--grid", required=True, help='parameter grid, e.g. "v=3,20;f=0,20"')
     swp.add_argument("--out", required=True, help="output directory")
-    swp.add_argument("--workers", type=_int, default=1,
+    swp.add_argument("--workers", type=_number, default=1,
                      help="processes that run grid cells, this one included")
 
     fct = sub.add_parser("forecast", help="replay an ensemble dataset through the variants")
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated variant names (default: all)",
     )
-    fct.add_argument("--seed", type=_int, default=0, help="harness seed")
+    fct.add_argument("--seed", type=_number, default=0, help="harness seed")
     fct.add_argument("--out", default=None, help="also write report.txt/report.json here")
     return parser
 

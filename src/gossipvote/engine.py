@@ -11,12 +11,11 @@ in ascending agent-id order so equal seeds replay byte-for-byte:
    operator's result, and clears the whole inbox; one pass
    (integration.integrate_inboxes) does this for the whole tick.
 
-A lone run's step runs phases 1 and 2 in one pass, delivering each send as
-it is drawn; a draw group's sends are drawn once per tick by draw_sends
-and delivered by each member's step. Both decode the same draws (the RNG
-contract below). Because every send happens before any integration runs,
-two agents that message each other in the same tick exchange their old
-values (a simultaneous swap), never the freshly integrated ones.
+step, the one decoder of these draws (the RNG contract below), runs phases
+1 and 2 in one pass, delivering each send as it is drawn. Because every
+send happens before any integration runs, two agents that message each
+other in the same tick exchange their old values (a simultaneous swap),
+never the freshly integrated ones.
 
 RNG contract: per agent in id order, an activation coin; if activated, a
 friend coin (only when friend_prob > 0) and one pick drawn exactly as
@@ -28,9 +27,9 @@ Draw groups. Apart from those mixed coins, no draw depends on values, v,
 include_self or the operator, so runs with equal draw_key (a mixed run has
 none) draw the same friend graph, initial values and sends: they form a draw
 group, which shares its draws, not its state. run builds every member through
-init with one graphs dict, so each friend graph is drawn once, and the lead's
-RNG draws each tick's sends once, while some member is unsettled, for every
-unsettled member; a group of one draws inside step. Each member still takes
+init with one graphs dict, so each friend graph is drawn once; the members
+share one RNG, and each tick the first unsettled member's step draws the
+sends and records them for the members after it. Each member still takes
 its own engine.step call per recorded tick, so its record is that of its
 lone run.
 
@@ -198,70 +197,25 @@ def draw_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
-def draw_sends(config: SimConfig, graph: FriendGraph, rng: random.Random) -> list[tuple[int, int]]:
-    """A draw group's phase 1: one tick's (sender, target) pairs, its only draws but mixed coins.
-
-    Senders ascend; each activated agent picks one target. The draws depend
-    on the config, graph and RNG, never on a state's values or inboxes; step
-    makes the same draws for a lone run (see the module docstring). With
-    friend_prob > 0 a draw raises ValueError before its first coin if the
-    graph was built with a friendless agent (graph.friendless), whether or
-    not that agent would activate, and at the pick of an agent whose row was
-    emptied since.
-    """
-    n = config.n
-    rand, getrandbits = rng.random, rng.getrandbits
-    activation, friend_prob = config.activation_prob, config.friend_prob
-    sends: list[tuple[int, int]] = []
-    if n == 1:
-        rand()  # the activation coin is still consumed; nobody to message
-        return sends
-    if friend_prob > 0.0 and graph.friendless is not None:
-        raise _friendless(friend_prob, graph.friendless)
-    add = sends.append
-    adjacency = graph.adjacency
-    # uniform picks below m draw exactly as rng.randrange(m) does
-    others = n - 1
-    others_bits = others.bit_length()
-    for sender in range(n):
-        if rand() >= activation:
-            continue
-        if friend_prob > 0.0 and rand() < friend_prob:
-            pool = adjacency[sender]
-            m = len(pool)
-            if not m:  # a row emptied after the graph was built: getrandbits(0) would spin
-                raise _friendless(friend_prob, sender)
-            bits = m.bit_length()
-            pick = getrandbits(bits)
-            while pick >= m:
-                pick = getrandbits(bits)
-            add((sender, pool[pick]))
-            continue
-        pick = getrandbits(others_bits)
-        while pick >= others:
-            pick = getrandbits(others_bits)
-        # the uniform branch ranges over "others": picks >= sender shift up by one
-        add((sender, pick + (pick >= sender)))
-    return sends
-
-
 def _friendless(friend_prob: float, agent: int) -> ValueError:
     return ValueError(f"friend_prob={friend_prob} needs a non-empty friend list "
                       f"(agent {agent} has none)")
 
 
-def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEvents:
+def step(state: SimState, sends: list[tuple[int, int]] | None = None,
+         record: list[tuple[int, int]] | None = None) -> TickEvents:
     """Advance one tick; returns that tick's events.
 
-    sends is draw_sends' result for this tick, drawn once for this state's
-    draw group; None draws the tick from this state's RNG, delivering each
-    send as it is drawn. Both make the same draws and deliveries. A settled
-    state returns SETTLED without reading sends or drawing: its values,
-    inboxes and RNG stay as they are.
+    With sends None, step draws the tick from the state's RNG, delivering each
+    send as it is drawn and appending its (sender, target) pair to record if
+    given; otherwise sends holds the pairs another member of the state's draw
+    group drew this tick. A settled state returns SETTLED without drawing:
+    its values, inboxes and RNG stay as they are.
 
-    A friend row emptied after the graph was built raises ValueError at its
-    pick (see draw_sends). Drawn here, the inboxes then already hold the
-    tick's earlier sends; draw_sends raises before any delivery.
+    With friend_prob > 0 a draw raises ValueError before its first coin if the
+    graph was built with a friendless agent (graph.friendless), whether or not
+    it would activate, and at the pick of an agent whose row was emptied since,
+    after delivering the tick's earlier sends.
     """
     if state.settled:
         return SETTLED
@@ -277,7 +231,7 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
             inbox.append(values[sender])
             if len(inbox) == v:
                 full.append(target)
-    else:  # phases 1 and 2 in one pass: draw_sends' draws, each delivered as it is drawn
+    else:  # phases 1 and 2 in one pass: each send is delivered as it is drawn
         n, friend_prob, activation = cfg.n, cfg.friend_prob, cfg.activation_prob
         rng = state.rng
         rand, getrandbits = rng.random, rng.getrandbits
@@ -289,6 +243,7 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
             if friend_prob > 0.0 and graph.friendless is not None:
                 raise _friendless(friend_prob, graph.friendless)
             adjacency = graph.adjacency
+            # uniform picks below m draw exactly as rng.randrange(m) does
             others = n - 1
             others_bits = others.bit_length()
             for sender in range(n):
@@ -297,7 +252,7 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
                 if friend_prob > 0.0 and rand() < friend_prob:
                     pool = adjacency[sender]
                     m = len(pool)
-                    if not m:  # as in draw_sends
+                    if not m:  # a row emptied after the graph was built: getrandbits(0) would spin
                         raise _friendless(friend_prob, sender)
                     bits = m.bit_length()
                     pick = getrandbits(bits)
@@ -308,12 +263,15 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
                     pick = getrandbits(others_bits)
                     while pick >= others:
                         pick = getrandbits(others_bits)
+                    # the uniform branch ranges over "others": picks >= sender shift up by one
                     target = pick + (pick >= sender)
                 inbox = inboxes[target]
                 inbox.append(values[sender])
                 sent += 1
                 if len(inbox) == v:
                     full.append(target)
+                if record is not None:
+                    record.append((sender, target))
 
     if not full:  # nothing integrates, so no value changes and settled cannot flip
         return _new_events(TickEvents, (sent, sent, 0, 0, NO_CHANGES))
@@ -331,15 +289,17 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None) -> TickEve
 def _run_group(states: list[SimState]) -> list[Trajectory]:
     """Step one draw group that run built (see the module docstring) to its horizon.
 
-    A lone run draws its ticks inside step. In a larger group the lead's
-    RNG draws every tick's sends, through draw_sends. A member that settles
-    stops there if it is absorbing (an initially absorbing member takes no
-    tick); otherwise it steps on to max_ticks, one SETTLED step per tick.
-    Each record's final is its state's values list, which step changes in
-    place.
+    Every member takes the lead's RNG, from which none draws a coin (draw_key
+    puts a mixed run in no group). A settled step draws nothing, so once the
+    drawing member settles the next unsettled one draws from where the shared
+    RNG stands. A member that settles stops there if it is absorbing (an
+    initially absorbing member takes no tick); otherwise it steps on to
+    max_ticks, one SETTLED step per tick. Each record's final is its state's
+    values list, which step changes in place.
     """
     lead = states[0]
-    grouped = len(states) > 1
+    for state in states:
+        state.rng = lead.rng
     trajs = [Trajectory(tuple(s.values), [], s.config, s.graph, s.values) for s in states]
     live = list(zip(states, trajs))
     drawing = len(states)  # unsettled members; equal starts settle all or none
@@ -350,15 +310,17 @@ def _run_group(states: list[SimState]) -> list[Trajectory]:
             if not live:
                 break
             settling = False
-        # a settled step reads no sends
-        sends = draw_sends(lead.config, lead.graph, lead.rng) if drawing and grouped else None
+        record = [] if drawing > 1 else None  # a lone drawer's sends go to nobody
+        sends = None  # until this tick's drawer has stepped
         # plain loops, not comprehensions: this runs once per tick of every run
         for state, traj in live:
-            events = step(state, sends)
+            events = step(state, sends, record)
             traj.events.append(events)
-            if events is not SETTLED and state.settled:  # it settled at this tick
-                drawing -= 1
-                settling = True
+            if events is not SETTLED:  # it drew or delivered this tick
+                sends = record
+                if state.settled:  # it settled at this tick
+                    drawing -= 1
+                    settling = True
     return trajs
 
 

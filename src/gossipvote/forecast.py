@@ -128,7 +128,7 @@ def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, list[
 
 def _parse_int(text: str, path: str, line: int, column: str) -> int:
     try:
-        return _ascii_number(text.strip())
+        return _ascii_number(text)
     except ValueError:
         raise DatasetError(
             f"{path}:{line}: {column} must be an integer, got {text!r}"

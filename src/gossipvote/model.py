@@ -36,8 +36,10 @@ def _ascii_number(text: str, kind: type = int) -> int | float:
     """kind(text), kind int or float, for ASCII decimal text only; else ValueError.
 
     int() and float() alone also read PEP 515 underscores ("1_0" as 10) and
-    non-ASCII digits; the command line, the sweep grid and the forecast CSVs
-    read their numbers through here instead.
+    non-ASCII digits; the command line, the scripts, the sweep grid and the
+    forecast CSVs read their numbers through here instead. kind() skips the
+    ASCII whitespace around a number, so callers pass their text unstripped:
+    str.strip() would also take off Unicode spaces such as U+00A0.
     """
     if "_" in text or not text.isascii():
         raise ValueError(f"not an ASCII decimal literal: {text!r}")

@@ -351,8 +351,7 @@ def parse_grid(text: str) -> dict[str, list]:
     """
     grid: dict[str, list] = {}
     for part in text.split(";"):
-        part = part.strip()
-        if not part:
+        if not part.strip():
             continue
         key, sep, values_text = part.partition("=")
         key = key.strip()
@@ -366,7 +365,6 @@ def parse_grid(text: str) -> dict[str, list]:
             raise ConfigError(f"duplicate grid key {key!r}")
         values = []
         for chunk in values_text.split(","):
-            chunk = chunk.strip()
             try:
                 value = _ascii_number(chunk, float if key == "friend_prob" else int)
             except ValueError:

@@ -522,6 +522,16 @@ def _underscore_grid_float(tmp_path) -> tuple[list[str], str]:
         "bad value '0.1_5' for grid key 'friend_prob'"
 
 
+# str.strip() would take the no-break space (U+00A0) off and read these as 3 and 4
+def _no_break_space_grid_value(tmp_path) -> tuple[list[str], str]:
+    return _sweep_grid(tmp_path, "v=3\u00a0"), "bad value '3\\xa0' for grid key 'v'"
+
+
+def _no_break_space_prediction(tmp_path) -> tuple[list[str], str]:
+    return _forecast_files(tmp_path, "d1,a,4\u00a0\n"), \
+        f"{tmp_path / 'p.csv'}:2: prediction must be an integer, got '4\\xa0'"
+
+
 # argparse's type=int alone would run these at seed 10 and with one worker
 def _underscore_forecast_seed(tmp_path) -> tuple[list[str], str]:
     return [*_forecast_files(tmp_path), "--seed", "1_0"], \
@@ -544,7 +554,7 @@ class TestErrorMessages:
         _empty_day, _empty_source, _extra_field, _no_variant_names, _grid_entry_without_values,
         _underscore_actual, _non_ascii_prediction, _underscore_grid_value, _non_ascii_grid_value,
         _underscore_grid_float, _underscore_forecast_seed, _non_ascii_simulate_workers,
-        _underscore_sweep_workers,
+        _underscore_sweep_workers, _no_break_space_grid_value, _no_break_space_prediction,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_is_exactly_one_error_line(self, tmp_path, capsys, case):
         argv, message = case(tmp_path)

@@ -15,7 +15,6 @@ from gossipvote.engine import (
     Trajectory,
     draw_groups,
     draw_key,
-    draw_sends,
     init,
     run,
     step,
@@ -369,7 +368,11 @@ class TestDrawKey:
         a, b = init(self.BASE), init(other)
         assert (a.graph, a.values) == (b.graph, b.values)
         for _ in range(5):
-            assert draw_sends(a.config, a.graph, a.rng) == draw_sends(b.config, b.graph, b.rng)
+            a_sends: list[tuple[int, int]] = []
+            b_sends: list[tuple[int, int]] = []
+            step(a, None, a_sends)
+            step(b, None, b_sends)
+            assert a_sends == b_sends
 
     def test_a_mixed_run_shares_with_nobody(self):
         mixed = self.BASE._replace(strategy="mixed", mixed_consensus_prob=0.5)
@@ -456,9 +459,11 @@ class TestRunConfigs:
         # perfbench counts agent-ticks as traced engine.step calls times n
         calls: dict[int, int] = {}  # by the id of a state's values list, its record's final
 
-        def counted_step(state, sends=None):
+        def counted_step(*args, **kwargs):
+            state = args[0]  # the tracer reads the agent count from args[0].config.n
+            assert type(state) is SimState
             calls[id(state.values)] = calls.get(id(state.values), 0) + 1
-            return step(state, sends)
+            return step(*args, **kwargs)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "step", counted_step)
@@ -535,24 +540,18 @@ def _is_settled(state: SimState) -> bool:
 def _count_draws(monkeypatch) -> list[random.Random]:
     """Log the RNG of every tick that moved a drawing RNG's state; returns the log.
 
-    A group's tick draws in engine.draw_sends, a lone run's inside engine.step
-    (whose given sends draw nothing, as groups hold no mixed run), so each
-    drawing tick is logged once, on either path.
+    Every tick draws inside engine.step, and a step given sends draws nothing
+    (groups hold no mixed run), so each drawing tick is logged once.
     """
     drawn: list[random.Random] = []
 
-    def counted_draw_sends(config, graph, rng):
-        drawn.append(rng)
-        return draw_sends(config, graph, rng)
-
-    def counted_step(state, sends=None):
+    def counted_step(state, sends=None, record=None):
         before = state.rng.getstate()
-        events = step(state, sends)
+        events = step(state, sends, record)
         if state.rng.getstate() != before:
             drawn.append(state.rng)
         return events
 
-    monkeypatch.setattr(engine, "draw_sends", counted_draw_sends)
     monkeypatch.setattr(engine, "step", counted_step)
     return drawn
 
@@ -648,10 +647,10 @@ class TestSettled:
         state = _rebuilt(init(config), values=[1] * 6,
                          inboxes=[[1, 1], [], [1], [], [1, 1], []])
         assert state.settled
-        sends = draw_sends(state.config, state.graph, engine.rng_at(state.rng.getstate()))
         inboxes, rng_state = [list(inbox) for inbox in state.inboxes], state.rng.getstate()
-        for given in (None, sends):
-            assert step(state, given) is SETTLED
+        record: list[tuple[int, int]] = []
+        for given in (None, [(0, 1), (2, 3)]):
+            assert step(state, given, record) is SETTLED and record == []
             assert state.inboxes == inboxes and state.rng.getstate() == rng_state
             assert state.values == [1] * 6
         assert SETTLED == engine.TickEvents(sent=0, delivered=0, integrations=0, changed=0)

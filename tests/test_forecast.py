@@ -96,9 +96,9 @@ class TestLoadDataset:
 
     def test_header_cells_may_carry_spaces(self, tmp_path):
         pred = tmp_path / "p.csv"
-        pred.write_text("day, source ,prediction\nd1,a,1\n")
+        pred.write_text("day, source ,prediction\nd1,a, 1\t\n")  # ASCII spaces around numbers too
         act = tmp_path / "a.csv"
-        act.write_text("day, actual\nd1,1\n")
+        act.write_text("day, actual\nd1,1 \n")
         data = load_dataset(str(pred), str(act))
         assert data.sources == {"a": {"d1": 1}} and data.actuals == {"d1": 1}
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import edge_arrays
 from scipy import stats
 
-from gossipvote.engine import SimState, draw_sends, init, step
+from gossipvote.engine import SimState, init, step
 from gossipvote.model import (
     ConfigError,
     FriendGraph,
@@ -241,8 +241,8 @@ def _probe(n: int, f: int = 0, friend_prob: float = 0.0, seed: int = 0) -> SimSt
     return init(config, values=list(range(n)))
 
 
-# the two decoders of a tick's draws: a lone run's inside step, a draw group's draw_sends
-TICKS = (step, lambda state: step(state, draw_sends(state.config, state.graph, state.rng)))
+# step's two drawing modes: a lone run's, and a draw group drawer's, which records its sends
+TICKS = (step, lambda state: step(state, None, []))
 
 
 @contextmanager
@@ -316,12 +316,12 @@ class TestSelectTarget:
             with _time_limit(10), pytest.raises(ValueError, match=message):
                 tick(state)
             left.append(state.inboxes)
-        # step has delivered agents 0 and 1's sends by then (each value is its
-        # sender's id); draw_sends raises before any delivery
+        # both have delivered agents 0 and 1's sends by then (each value is its
+        # sender's id)
         delivered: list[list[int]] = [[], [], []]
         for sender in (0, 1):
             delivered[state.graph.adjacency[sender][0]].append(sender)
-        assert left == [delivered, [[], [], []]]
+        assert left == [delivered, delivered]
 
     def test_a_row_filled_in_after_the_graph_is_built_is_read(self):
         config = SimConfig(n=3, k=2, f=1, friend_prob=1.0, activation_prob=1.0, seed=3)

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from gossipvote.cli import main
-from gossipvote.engine import draw_sends, init, run, step
+from gossipvote.engine import init, run, step
 from gossipvote.model import SimConfig
 from gossipvote.scenario import Scenario, simulate_scenario, sweep_scenario
 
@@ -168,16 +168,19 @@ FRIEND_SIZES = list(range(1, 34)) + [63, 64, 65, 127, 128, 129]
     "friend_branch, sizes", [(False, UNIFORM_SIZES), (True, FRIEND_SIZES)], ids=["uniform", "friend"]
 )
 def test_engine_draws_its_picks_as_randrange_does(friend_branch, sizes):
-    """Both decoders of a tick's draws: a lone run's inside step, a draw group's draw_sends."""
+    """step, lone and recording its sends for the rest of a draw group."""
     for m in sizes:
         n = m + 1
         config = SimConfig(
             n=n, k=m, v=10**9, f=m if friend_branch else 0,
             friend_prob=1.0 if friend_branch else 0.0, activation_prob=1.0, seed=m,
         )
-        for grouped in (False, True):
+        for record in (None, []):
             state = init(config, values=list(range(n)))
             inboxes, rng_state = _reference_tick(state, friend_branch)
-            step(state, draw_sends(config, state.graph, state.rng) if grouped else None)
-            assert state.inboxes == inboxes, f"m={m}, grouped={grouped}"
-            assert state.rng.getstate() == rng_state, f"m={m}, grouped={grouped}"
+            step(state, None, record)
+            assert state.inboxes == inboxes, f"m={m}, record={record is not None}"
+            assert state.rng.getstate() == rng_state, f"m={m}, record={record is not None}"
+            if record is not None:  # the tick's deliveries, in sender order
+                assert record == sorted((sender, target) for target, inbox in enumerate(inboxes)
+                                        for sender in inbox), f"m={m}"

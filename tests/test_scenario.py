@@ -457,6 +457,7 @@ class TestParseGrid:
     def test_two_axis_grid(self):
         grid = parse_grid("v=3,20;f=0,20")
         assert grid == {"v": [3, 20], "f": [0, 20]}
+        assert parse_grid(" v = 3 ,\t20 ; f=0, 20 ;") == grid  # ASCII spaces are skipped
         cells = grid_cells(grid)
         assert cells == [
             {"v": 3, "f": 0},

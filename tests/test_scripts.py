@@ -19,7 +19,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS_DIR = REPO_ROOT / "scripts"
 
 
-def start_script(name: str, *args: str) -> subprocess.CompletedProcess:
+def start_script(name: str, *args: str | bytes) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(SCRIPTS_DIR / name), *args], capture_output=True, text=True,
@@ -66,6 +66,23 @@ def test_friend_clustering_effect_prints_its_figures():
      "--first-tick must satisfy"),
     ("friend_clustering_effect.py", ["--last-tick", "0"], "--last-tick must be >= 1"),
     ("friend_clustering_effect.py", ["--seeds", "0"], "--seeds must be >= 1"),
+    # numbers are read as the command line reads them: ASCII decimal text only, with
+    # no PEP 515 underscore, non-ASCII digit or Unicode space (--help ends a run that
+    # takes the value; argv goes as UTF-8 bytes, which an ASCII locale cannot encode)
+    ("friend_clustering_effect.py", ["--seeds", "\u0661".encode(), "--help"],
+     "argument --seeds: invalid int value"),
+    ("friend_clustering_effect.py", ["--first-tick", "1_0", "--help"],
+     "argument --first-tick: invalid int value: '1_0'"),
+    ("friend_clustering_effect.py", ["--friend-prob", "0.4_0", "--help"],
+     "argument --friend-prob: invalid float value: '0.4_0'"),
+    ("friend_clustering_effect.py", ["--friend-prob", "\u0660.4".encode(), "--help"],
+     "argument --friend-prob: invalid float value"),
+    ("vote_count_effect.py", ["--seeds", "2\u00a0".encode(), "--help"],
+     "argument --seeds: invalid int value"),
+    ("vote_count_effect.py", ["--horizon", "8_0", "--help"],
+     "argument --horizon: invalid int value: '8_0'"),
+    ("make_synthetic_fixture.py", ["--days", "\u0666".encode(), "--help"],
+     "argument --days: invalid int value"),
 ])
 def test_bad_script_arguments_are_usage_errors(name, args, message):
     proc = start_script(name, *args)

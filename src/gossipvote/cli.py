@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 invalid inputs (bad arguments, scenario, grid, CSV,
 or variant name, or sizes too large for memory), 2 I/O failure (missing
-files, unwritable output directory).
+files, an unwritable output directory, or a helper process that died).
 
 Each command imports only the modules it runs, and none of them loads numpy.
 """

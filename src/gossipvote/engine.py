@@ -197,11 +197,6 @@ def draw_groups(configs: Sequence[SimConfig]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _friendless(friend_prob: float, agent: int) -> ValueError:
-    return ValueError(f"friend_prob={friend_prob} needs a non-empty friend list "
-                      f"(agent {agent} has none)")
-
-
 def step(state: SimState, sends: list[tuple[int, int]] | None = None,
          record: list[tuple[int, int]] | None = None) -> TickEvents:
     """Advance one tick; returns that tick's events.
@@ -212,10 +207,8 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None,
     group drew this tick. A settled state returns SETTLED without drawing:
     its values, inboxes and RNG stay as they are.
 
-    With friend_prob > 0 a draw raises ValueError before its first coin if the
-    graph was built with a friendless agent (graph.friendless), whether or not
-    it would activate, and at the pick of an agent whose row was emptied since,
-    after delivering the tick's earlier sends.
+    With friend_prob > 0 a draw raises ValueError before its first coin if the graph,
+    fixed when built, has a friendless agent (graph.friendless), whether it activates or not.
     """
     if state.settled:
         return SETTLED
@@ -240,8 +233,9 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None,
             rand()  # the activation coin is still consumed; nobody to message
         else:
             graph = state.graph
-            if friend_prob > 0.0 and graph.friendless is not None:
-                raise _friendless(friend_prob, graph.friendless)
+            if friend_prob > 0.0 and graph.friendless is not None:  # getrandbits(0) would spin
+                raise ValueError(f"friend_prob={friend_prob} needs a non-empty friend list "
+                                 f"(agent {graph.friendless} has none)")
             adjacency = graph.adjacency
             # uniform picks below m draw exactly as rng.randrange(m) does
             others = n - 1
@@ -252,8 +246,6 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None,
                 if friend_prob > 0.0 and rand() < friend_prob:
                     pool = adjacency[sender]
                     m = len(pool)
-                    if not m:  # a row emptied after the graph was built: getrandbits(0) would spin
-                        raise _friendless(friend_prob, sender)
                     bits = m.bit_length()
                     pick = getrandbits(bits)
                     while pick >= m:

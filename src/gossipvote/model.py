@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 STRATEGIES = ("dominant", "consensus", "mixed")
@@ -47,14 +48,17 @@ def _ascii_number(text: str, kind: type = int) -> int | float:
 
 
 class FriendGraph:
-    """Directed adjacency of preferential channels, fixed for a whole run.
+    """Directed adjacency of preferential channels, fixed when it is built.
 
-    Hand-built graphs may mix out-degrees; graphs from :func:`make_friend_graph`
-    have uniform out-degree f. Self-loops and duplicate entries are rejected.
+    Hand-built graphs may mix out-degrees; make_friend_graph's have out-degree f. Self-loops
+    and duplicates are rejected. The rows are tuples, adjacency and friendless read-only, and
+    with friend_prob > 0 a friendless agent makes each tick's draw raise before its first coin.
     """
 
+    __slots__ = ("_adjacency", "_friendless")
+
     def __init__(self, adjacency: Sequence[Sequence[int]]):
-        adj = [list(friends) for friends in adjacency]
+        adj = tuple(tuple(friends) for friends in adjacency)
         n = len(adj)
         for agent_id, friends in enumerate(adj):
             if agent_id in friends:
@@ -69,29 +73,18 @@ class FriendGraph:
         self._set_rows(adj)
 
     @classmethod
-    def _sampled(cls, adjacency: list[list[int]]) -> FriendGraph:
+    def _sampled(cls, adjacency: tuple[tuple[int, ...], ...]) -> FriendGraph:
         """Wrap a sampler's rows, which hold by construction what __init__ checks."""
         graph = cls.__new__(cls)
         graph._set_rows(adjacency)
         return graph
 
-    def _set_rows(self, adjacency: list[list[int]]) -> None:
-        self.adjacency = adjacency
-        self._friendless = adjacency.index([]) if [] in adjacency else None
+    def _set_rows(self, adjacency: tuple[tuple[int, ...], ...]) -> None:
+        self._adjacency = adjacency
+        self._friendless = adjacency.index(()) if () in adjacency else None
 
-    @property
-    def friendless(self) -> int | None:
-        """An agent without friends, None when every agent has one; O(1) per tick.
-
-        Found once, when the graph is built, and found again only once that
-        agent's row is filled in. The engine checks a row emptied later when it
-        picks from it.
-        """
-        agent = self._friendless
-        if agent is not None and self.adjacency[agent]:
-            rows = self.adjacency
-            agent = self._friendless = rows.index([]) if [] in rows else None
-        return agent
+    adjacency = property(attrgetter("_adjacency"), doc="Each agent's friends, a tuple per agent.")
+    friendless = property(attrgetter("_friendless"), doc="The first friendless agent, or None.")
 
     @property
     def n_agents(self) -> int:
@@ -213,20 +206,22 @@ def make_friend_graph(
     if not 0 <= f <= n - 1:
         raise ValueError(f"cannot pick f={f} friends out of {n} agents")
     if f == 0:  # no friends to draw, whichever graph was asked for
-        return FriendGraph._sampled([[] for _ in range(n)])
+        return FriendGraph._sampled(((),) * n)
     if symmetric:
         return _symmetric_graph(n, f, rng)
     # each row draws exactly what CPython 3.11's rng.sample(range(others), f)
     # draws, written out so the replay contract does not rest on sample: picks
     # from a shrinking pool while that list is smaller than a set of f picks
-    # would be, else redraws against the set of picks so far
+    # would be, else redraws against the set of picks so far. Pick i stands for
+    # agent i + (i >= agent_id), the i-th agent other than agent_id.
     others = n - 1
     getrandbits = rng.getrandbits
     set_size = 21 + (4 ** math.ceil(math.log(f * 3, 4)) if f > 5 else 0)
+    agents = list(range(n))  # one int object per id, shared by every row that lists it
     adjacency = []
     if others <= set_size:
         for agent_id in range(n):
-            pool = list(range(others))
+            pool = agents[:agent_id] + agents[agent_id + 1:]
             picks = []
             for size in range(others, others - f, -1):
                 bits = size.bit_length()
@@ -235,8 +230,8 @@ def make_friend_graph(
                     pick = getrandbits(bits)
                 picks.append(pool[pick])
                 pool[pick] = pool[size - 1]
-            # the picks are over "others": indices >= agent_id shift up by one
-            adjacency.append(sorted([p + (p >= agent_id) for p in picks]))
+            picks.sort()
+            adjacency.append(tuple(picks))
     else:
         bits = others.bit_length()
         for agent_id in range(n):
@@ -244,9 +239,9 @@ def make_friend_graph(
             while len(chosen) < f:
                 pick = getrandbits(bits)
                 if pick < others:
-                    chosen.add(pick)
-            adjacency.append(sorted([p + (p >= agent_id) for p in chosen]))
-    return FriendGraph._sampled(adjacency)
+                    chosen.add(agents[pick + (pick >= agent_id)])
+            adjacency.append(tuple(sorted(chosen)))
+    return FriendGraph._sampled(tuple(adjacency))
 
 
 def _symmetric_graph(n: int, f: int, rng: random.Random) -> FriendGraph:
@@ -277,7 +272,7 @@ def _symmetric_graph(n: int, f: int, rng: random.Random) -> FriendGraph:
     for a, b in edges:
         adjacency[a].append(b)
         adjacency[b].append(a)
-    return FriendGraph._sampled([sorted(friends) for friends in adjacency])
+    return FriendGraph._sampled(tuple([tuple(sorted(friends)) for friends in adjacency]))
 
 
 def _norm(a: int, b: int) -> tuple[int, int]:

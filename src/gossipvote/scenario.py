@@ -22,6 +22,7 @@ from .output import json_text, write_atomic
 
 OUTPUT_KINDS = ("trajectory_csv", "metrics_csv", "summary_json")
 SWEEP_KEYS = ("n", "k", "v", "f", "friend_prob")
+_ASCII_SPACE = " \t\n\r\x0b\x0c"  # string.whitespace, which parse_grid strips and no more
 
 
 class _ScenarioFields(NamedTuple):  # Scenario's fields and defaults; Scenario adds the checks
@@ -217,8 +218,8 @@ def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[
     workers - 1 helper processes take jobs from the front and this process
     takes them from the back, until none is left. A job that fails, or a
     helper that dies, stops every process from taking another; once the
-    helpers have ended, the job's exception is re-raised. No helper outlives
-    the call.
+    helpers have ended, the job's exception (ChildProcessError for a dead
+    helper) is raised. No helper outlives the call.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -307,7 +308,7 @@ def _outcome(helper, receiver) -> dict | BaseException:
         return exc
     # a death after sending its results still stopped this process, so jobs may be left over
     if outcome is None or helper.exitcode:
-        return RuntimeError(f"a helper process ended with exit code {helper.exitcode}")
+        return ChildProcessError(f"a helper process ended with exit code {helper.exitcode}")
     return outcome
 
 
@@ -351,11 +352,11 @@ def parse_grid(text: str) -> dict[str, list]:
     """
     grid: dict[str, list] = {}
     for part in text.split(";"):
-        if not part.strip():
+        if not part.strip(_ASCII_SPACE):
             continue
         key, sep, values_text = part.partition("=")
-        key = key.strip()
-        if not sep or not values_text.strip():
+        key = key.strip(_ASCII_SPACE)
+        if not sep or not values_text.strip(_ASCII_SPACE):
             raise ConfigError(f"grid entry {part!r} must look like key=v1,v2,...")
         if key not in SWEEP_KEYS:
             raise ConfigError(

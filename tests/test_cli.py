@@ -4,14 +4,17 @@ import ast
 import csv
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from gossipvote import scenario as scenario_module
 from gossipvote.cli import EXIT_INVALID, EXIT_IO, EXIT_OK, main
 from gossipvote.forecast import load_dataset
 from gossipvote.model import SimConfig
@@ -238,6 +241,29 @@ class TestSweepCommand:
         assert captured.out == ""
         assert_one_error_line(captured.err, f"duplicate value {chunk}")
         assert not out_dir.exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked helper inherits the patched job")
+    def test_a_helper_that_dies_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: 2)
+        main_pid, run_replication = os.getpid(), scenario_module._run_replication
+
+        def job(args):  # ends a helper at its first job; this process's take 0.2 s
+            if os.getpid() != main_pid:
+                os._exit(9)
+            time.sleep(0.2)
+            return run_replication(args)
+
+        monkeypatch.setattr(scenario_module, "_run_replication", job)
+        # two draw groups (f differs) of two replications: four jobs
+        code = main(["sweep", "--scenario", str(small_scenario_file(tmp_path)),
+                     "--grid", "f=1,2", "--out", str(tmp_path / "o"), "--workers", "2"])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "i/o error: a helper process ended with exit code 9\n")
+        assert not (tmp_path / "o").exists()
+        assert multiprocessing.active_children() == []
 
     def test_unknown_grid_key(self, tmp_path, capsys):
         scenario_path = small_scenario_file(tmp_path)
@@ -532,6 +558,17 @@ def _no_break_space_prediction(tmp_path) -> tuple[list[str], str]:
         f"{tmp_path / 'p.csv'}:2: prediction must be an integer, got '4\\xa0'"
 
 
+# str.strip() would also take a Unicode space off a grid key or entry: both would be {"v": [3]}
+def _no_break_space_grid_key(tmp_path) -> tuple[list[str], str]:
+    return _sweep_grid(tmp_path, "\u00a0v=3"), \
+        "cannot sweep '\\xa0v'; sweepable: n, k, v, f, friend_prob"
+
+
+def _em_space_grid_entry(tmp_path) -> tuple[list[str], str]:
+    return _sweep_grid(tmp_path, "v=3;\u2003"), \
+        "grid entry '\\u2003' must look like key=v1,v2,..."
+
+
 # argparse's type=int alone would run these at seed 10 and with one worker
 def _underscore_forecast_seed(tmp_path) -> tuple[list[str], str]:
     return [*_forecast_files(tmp_path), "--seed", "1_0"], \
@@ -555,6 +592,7 @@ class TestErrorMessages:
         _underscore_actual, _non_ascii_prediction, _underscore_grid_value, _non_ascii_grid_value,
         _underscore_grid_float, _underscore_forecast_seed, _non_ascii_simulate_workers,
         _underscore_sweep_workers, _no_break_space_grid_value, _no_break_space_prediction,
+        _no_break_space_grid_key, _em_space_grid_entry,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_is_exactly_one_error_line(self, tmp_path, capsys, case):
         argv, message = case(tmp_path)

@@ -381,7 +381,7 @@ def _dying_job(marks: Path, main_pid: int, index: int) -> int:
 def test_a_helper_that_dies_is_reported(monkeypatch, tmp_path):
     monkeypatch.setattr(scenario_module, "_usable_cpus", lambda: 2)
     job = functools.partial(_dying_job, tmp_path, os.getpid())
-    with pytest.raises(RuntimeError, match="exit code 3"):
+    with pytest.raises(ChildProcessError, match="exit code 3"):
         scenario_module._map_jobs(job, list(range(10)), 2)
     ran = {int(path.name) for path in tmp_path.iterdir()}
     assert 0 in ran and len(ran) < 10  # the main process stopped taking jobs

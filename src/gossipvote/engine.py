@@ -26,12 +26,11 @@ settles.
 Draw groups. Apart from those mixed coins, no draw depends on values, v,
 include_self or the operator, so runs with equal draw_key (a mixed run has
 none) draw the same friend graph, initial values and sends: they form a draw
-group, which shares its draws, not its state. run builds every member through
-init with one graphs dict, so each friend graph is drawn once; the members
-share one RNG, and each tick the first unsettled member's step draws the
-sends and records them for the members after it. Each member still takes
-its own engine.step call per recorded tick, so its record is that of its
-lone run.
+group, which shares its draws, not its state. run starts each group once,
+through init for its first member; the others start on its graph with a copy
+of its values, empty inboxes and its RNG. Each tick the first unsettled
+member's step draws the sends and records them for the rest, and each member
+takes its own engine.step call per recorded tick, as its lone run would.
 
 A state is settled once every agent holds one value w and every queued vote
 is w: no operator can change a value from then on. step latches that after
@@ -154,11 +153,11 @@ def init(config: SimConfig, values: list[int] | None = None,
          graphs: dict[tuple, tuple[FriendGraph, tuple]] | None = None) -> SimState:
     """Fresh state from a config: friend graph first, then uniform initial values.
 
-    The draw order (graph, then one value per agent in id order) is part of
-    the replay contract; given values (one int per agent, in 0..k) draw
-    nothing. graphs maps a graph key (seed, n, f and symmetric_friends, all
-    the graph's draws depend on) to its graph and the RNG state after it: a
-    hit reuses the graph and copies the state, a miss draws and stores both.
+    The draw order (graph, then one value per agent in id order) is part of the replay
+    contract; given values (one int per agent, in 0..k) draw nothing. graphs maps a graph
+    key (seed, n, f and symmetric_friends, all the graph's draws depend on) to its graph and
+    the RNG state after it: a hit reuses the graph and copies the state, a miss draws and
+    stores both. run calls init once per draw group, so a hit serves another group.
     """
     key = (config.seed, config.n, config.f, config.symmetric_friends)
     if graphs is not None and key in graphs:
@@ -279,20 +278,18 @@ def step(state: SimState, sends: list[tuple[int, int]] | None = None,
 
 
 def _run_group(states: list[SimState]) -> list[Trajectory]:
-    """Step one draw group that run built (see the module docstring) to its horizon.
+    """Step one draw group that run started (see the module docstring) to its horizon.
 
-    Every member takes the lead's RNG, from which none draws a coin (draw_key
-    puts a mixed run in no group). A settled step draws nothing, so once the
-    drawing member settles the next unsettled one draws from where the shared
-    RNG stands. A member that settles stops there if it is absorbing (an
-    initially absorbing member takes no tick); otherwise it steps on to
-    max_ticks, one SETTLED step per tick. Each record's final is its state's
-    values list, which step changes in place.
+    Every member starts from the lead's graph, values and RNG, from which none draws a coin
+    (draw_key puts a mixed run in no group). A settled step draws nothing, so once the drawing
+    member settles the next unsettled one draws from where the shared RNG stands. A member
+    that settles stops there if it is absorbing (an initially absorbing member takes no tick);
+    otherwise it steps on to max_ticks, one SETTLED step per tick. Each record's final is its
+    state's values list, which step changes in place.
     """
     lead = states[0]
-    for state in states:
-        state.rng = lead.rng
-    trajs = [Trajectory(tuple(s.values), [], s.config, s.graph, s.values) for s in states]
+    initial = tuple(lead.values)
+    trajs = [Trajectory(initial, [], s.config, s.graph, s.values) for s in states]
     live = list(zip(states, trajs))
     drawing = len(states)  # unsettled members; equal starts settle all or none
     settling = True  # an initially absorbing member takes no tick
@@ -320,13 +317,15 @@ def run(configs: Sequence[SimConfig], values: list[int] | None = None) -> list[T
     """Every config's run to its horizon: its record, in config order.
 
     Each record is exactly its config's lone run's (init, then step to the horizon
-    or absorption), with each draw group's draws made once (see the module docstring).
+    or absorption); each draw group starts once and draws once (see the module docstring).
     Given values (one int per agent, in 0..k of every config) draw nothing.
     """
     results: list = [None] * len(configs)
     graphs: dict[tuple, tuple[FriendGraph, tuple]] = {}
     for group in draw_groups(configs):
-        states = [init(configs[index], values, graphs) for index in group]
+        lead = init(configs[group[0]], values, graphs)
+        states = [lead] + [SimState(configs[index], list(lead.values), [[] for _ in lead.values],
+                                    lead.graph, lead.rng) for index in group[1:]]
         for index, traj in zip(group, _run_group(states)):
             results[index] = traj
     return results

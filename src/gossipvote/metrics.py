@@ -49,26 +49,27 @@ def pairwise_sum(values: Sequence[float]) -> float:
     8 interleaved accumulators, combined as a tree, then the remainder; longer
     runs split in two halves at a multiple of 8 and add the halves' sums.
     """
-    def part(lo: int, n: int) -> float:
-        if n < 8:
-            total = 0.0
-            for i in range(lo, lo + n):
-                total += values[i]
-            return total
-        if n <= 128:
-            acc = list(values[lo:lo + 8])
-            stop = lo + n - n % 8
-            for i in range(lo + 8, stop):
-                acc[(i - lo) % 8] += values[i]
-            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-            for i in range(stop, lo + n):
-                total += values[i]
-            return total
-        half = n // 2
-        half -= half % 8
-        return part(lo, half) + part(lo + half, n - half)
+    return _pairwise(values, 0, len(values))  # a recursive closure would leave a ref cycle
 
-    return part(0, len(values))
+
+def _pairwise(values: Sequence[float], lo: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for i in range(lo, lo + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        acc = list(values[lo:lo + 8])
+        stop = lo + n - n % 8
+        for i in range(lo + 8, stop):
+            acc[(i - lo) % 8] += values[i]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for i in range(stop, lo + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise(values, lo, half) + _pairwise(values, lo + half, n - half)
 
 
 def observe(traj: Trajectory) -> Observation:

@@ -502,6 +502,41 @@ class TestRunConfigs:
         assert [traj.initial for traj in results] == [tuple(values)] * len(configs)
         _assert_lone_runs(configs, results, values)
 
+    @pytest.mark.parametrize("values", [None, [2, 0, 1, 1, 0, 2, 0, 1, 2, 2, 1, 0]])
+    def test_each_draw_group_starts_once(self, monkeypatch, values):
+        base = SimConfig(n=12, k=2, f=3, friend_prob=0.5, max_ticks=15, seed=5)
+        configs = [base, base._replace(v=2), base._replace(k=3),
+                   base._replace(strategy="mixed", mixed_consensus_prob=0.5),
+                   base._replace(seed=6, v=4), base._replace(include_self=False),
+                   base._replace(seed=6, strategy="consensus")]
+        groups = draw_groups(configs)
+        assert len(groups) == 4 and max(len(group) for group in groups) >= 3
+        inits: list[SimConfig] = []
+        started: list[list[SimState]] = []
+        run_init, run_group = engine.init, engine._run_group
+
+        def counted_init(config, values=None, graphs=None):
+            inits.append(config)
+            return run_init(config, values, graphs)
+
+        def recorded_run_group(states):
+            started.append(list(states))
+            return run_group(states)
+
+        monkeypatch.setattr(engine, "init", counted_init)
+        monkeypatch.setattr(engine, "_run_group", recorded_run_group)
+        results = run(configs, values)
+        assert inits == [configs[group[0]] for group in groups]  # one init per group
+        for group, states in zip(groups, started):
+            lead = states[0]
+            assert [state.config for state in states] == [configs[index] for index in group]
+            assert all(state.graph is lead.graph and state.rng is lead.rng for state in states)
+            # a start is shared, not its state: each member holds its own lists
+            assert len({id(state.values) for state in states}) == len(states)
+            assert len({id(state.inboxes) for state in states}) == len(states)
+            assert all(results[index].initial is results[group[0]].initial for index in group)
+        _assert_lone_runs(configs, results, values)
+
     def test_given_values_must_fit_every_config(self):
         base = SimConfig(n=3, k=2, seed=0)
         with pytest.raises(ValueError, match=r"need 3 initial values in 0\.\.1"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import io
 import json
 import math
@@ -291,6 +292,19 @@ class TestSimulateScenario:
     def test_rejects_nonpositive_workers(self, tmp_path):
         with pytest.raises(ConfigError, match="workers"):
             simulate_scenario(small_scenario(), tmp_path, workers=0)
+
+    def test_a_replication_job_leaves_no_reference_cycle(self):
+        # garbage that only the cyclic collector frees would make peak memory follow GC timing
+        base = SimConfig(n=500, k=1, v=3, f=15, friend_prob=0.4, max_ticks=500, seed=1)
+        job = ([base, base._replace(v=20)], 0, 50, ("trajectory_csv", "metrics_csv"))
+        gc.collect()
+        gc.disable()
+        try:
+            records = scenario_module._run_replication(job)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(records) == 2
 
 
 @pytest.mark.parametrize(

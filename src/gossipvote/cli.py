@@ -14,7 +14,7 @@ import os
 import sys
 from typing import NoReturn, Sequence
 
-from .model import ConfigError, _ascii_number
+from .model import _ASCII_SPACE, ConfigError, _ascii_number
 from .output import json_text, write_atomic
 
 EXIT_OK = 0
@@ -121,7 +121,7 @@ def _cmd_forecast(args: argparse.Namespace) -> int:
     if args.variants is None:
         specs = list(fc.VARIANTS)
     else:
-        names = [name.strip() for name in args.variants.split(",") if name.strip()]
+        names = list(filter(None, (name.strip(_ASCII_SPACE) for name in args.variants.split(","))))
         if not names:
             raise ConfigError("--variants given but no variant names found")
         for index, name in enumerate(names):

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .engine import run
 from .engine import step  # noqa: F401  perfbench's tracer test reads forecast.step
 from .integration import integrate
-from .model import ConfigError, SimConfig, _ascii_number
+from .model import _ASCII_SPACE, ConfigError, SimConfig, _ascii_number
 
 # the replay layer fixes these; only v/f/friend_prob/strategy vary by variant
 ACTIVATION_PROB = 0.5
@@ -71,7 +71,7 @@ def load_dataset(predictions_path: str, actuals_path: str) -> ForecastDataset:
     actuals: dict[str, int] = {}
     days: list[str] = []
     for line, (day, actual) in _read_rows(actuals_path, ("day", "actual")):
-        day = day.strip()
+        day = day.strip(_ASCII_SPACE)
         if not day:
             raise DatasetError(f"{actuals_path}:{line}: empty day")
         if day in actuals:
@@ -84,8 +84,8 @@ def load_dataset(predictions_path: str, actuals_path: str) -> ForecastDataset:
     sources: dict[str, dict[str, int]] = {}
     columns = ("day", "source", "prediction")
     for line, (day, name, prediction) in _read_rows(predictions_path, columns):
-        name = name.strip()
-        day = day.strip()
+        name = name.strip(_ASCII_SPACE)
+        day = day.strip(_ASCII_SPACE)
         if not name:
             raise DatasetError(f"{predictions_path}:{line}: empty source")
         if day not in actuals:
@@ -109,7 +109,7 @@ def _read_rows(path: str, columns: tuple[str, ...]) -> Iterable[tuple[int, list[
         try:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if not header or [c.strip() for c in header] != list(columns):
+            if not header or [c.strip(_ASCII_SPACE) for c in header] != list(columns):
                 raise DatasetError(
                     f"{path}:1: expected header {','.join(columns)!r}, got "
                     f"{','.join(header) if header else '<empty file>'!r}"

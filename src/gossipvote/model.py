@@ -33,6 +33,9 @@ def check_field_types(config: tuple, fields: type) -> None:
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
+_ASCII_SPACE = " \t\n\r\x0b\x0c"  # string.whitespace: what the readers strip, and no more
+
+
 def _ascii_number(text: str, kind: type = int) -> int | float:
     """kind(text), kind int or float, for ASCII decimal text only; else ValueError.
 

@@ -17,12 +17,11 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .engine import draw_groups, run
 from .metrics import Observation, convergence_tick, observe, pairwise_sum, steady_change_rate
-from .model import ConfigError, SimConfig, _ascii_number, check_field_types
+from .model import _ASCII_SPACE, ConfigError, SimConfig, _ascii_number, check_field_types
 from .output import json_text, write_atomic
 
 OUTPUT_KINDS = ("trajectory_csv", "metrics_csv", "summary_json")
 SWEEP_KEYS = ("n", "k", "v", "f", "friend_prob")
-_ASCII_SPACE = " \t\n\r\x0b\x0c"  # string.whitespace, which parse_grid strips and no more
 
 
 class _ScenarioFields(NamedTuple):  # Scenario's fields and defaults; Scenario adds the checks
@@ -216,9 +215,10 @@ def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[
     """fn over jobs in `workers` processes, this one included; results in job order.
 
     workers - 1 helper processes take jobs from the front and this process
-    takes them from the back, until none is left. A job that fails, or a
-    helper that dies, stops every process from taking another; once the
-    helpers have ended, the job's exception (ChildProcessError for a dead
+    takes them from the back, until none is left: the bounds of the jobs left
+    are a token, the one message in a pipe, passed on under a lock. A job that
+    fails, or a helper that dies, stops every process from taking another; once
+    the helpers have ended, the job's exception (ChildProcessError for a dead
     helper) is raised. No helper outlives the call.
     """
     if workers < 1:
@@ -232,25 +232,29 @@ def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[
     # inherit this process's imports; this process starts no thread of its own.
     # Under forkserver or spawn a helper imports the package anew: jobs carry
     # everything they read, so the outputs are the same bytes.
-    bounds = multiprocessing.Array("q", [0, len(jobs)])  # jobs[front:back] are not taken yet
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    writer.send((0, len(jobs)))  # the token: jobs[front:back] are not taken yet
+    token = (multiprocessing.Lock(), reader, writer)
     helpers = []
     results: dict[int, _R] = {}
     try:
         for _ in range(workers - 1):
             receiver, sender = multiprocessing.Pipe(duplex=False)
-            helper = multiprocessing.Process(target=_help, args=(fn, jobs, bounds, sender))
+            helper = multiprocessing.Process(target=_help, args=(fn, jobs, token, sender))
             helper.start()
             sender.close()
             helpers.append((helper, receiver))
         # a helper that died (killed, or os._exit) sends nothing, so look before each job
         while not any(helper.exitcode for helper, _ in helpers):
-            index = _take(bounds, from_back=True)
+            index = _take(token, from_back=True)
             if index is None:
                 break
             results[index] = fn(jobs[index])
     finally:
-        _stop(bounds)  # no process starts another job
+        _stop(token)  # no process starts another job
         outcomes = [_outcome(helper, receiver) for helper, receiver in helpers]
+        reader.close()
+        writer.close()
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome
@@ -258,35 +262,39 @@ def _map_jobs(fn: Callable[[_J], _R], jobs: Sequence[_J], workers: int) -> list[
     return [results[index] for index in range(len(jobs))]
 
 
-def _take(bounds, from_back: bool = False) -> int | None:
-    """Take the job at one end of jobs[front:back]; None when none is left."""
-    with bounds.get_lock():
-        front, back = bounds
+def _take(token, from_back: bool = False) -> int | None:
+    """Take the job at one end of the token's jobs[front:back]; None when none is left."""
+    lock, reader, writer = token
+    with lock:
+        front, back = reader.recv()
         if front == back:
-            return None
-        if from_back:
-            bounds[1] = back - 1
-            return back - 1
-        bounds[0] = front + 1
-        return front
+            index = None
+        elif from_back:
+            index = back = back - 1
+        else:
+            index, front = front, front + 1
+        writer.send((front, back))
+    return index
 
 
-def _stop(bounds) -> None:
-    """Leave no job to take."""
-    with bounds.get_lock():
-        bounds[0] = bounds[1]
+def _stop(token) -> None:
+    """Leave no job to take: the token comes back as (back, back)."""
+    lock, reader, writer = token
+    with lock:
+        _, back = reader.recv()
+        writer.send((back, back))
 
 
-def _help(fn, jobs, bounds, sender) -> None:
-    """A helper process: runs jobs from the front, then sends its one outcome, a
+def _help(fn, jobs, token, sender) -> None:
+    """A helper process: takes jobs from the front, then sends its one outcome, a
     {job index: result} dict, or the failing job's exception and traceback."""
     try:
         done = {}
-        while (index := _take(bounds)) is not None:
+        while (index := _take(token)) is not None:
             done[index] = fn(jobs[index])
         outcome = done
     except BaseException as exc:  # a failure stops every process
-        _stop(bounds)
+        _stop(token)
         import traceback
 
         outcome = (exc, traceback.format_exc())

@@ -569,6 +569,26 @@ def _em_space_grid_entry(tmp_path) -> tuple[list[str], str]:
         "grid entry '\\u2003' must look like key=v1,v2,..."
 
 
+# str.strip() would take the no-break space off a forecast header, day or variant name,
+# and each of these would run
+def _no_break_space_header(tmp_path) -> tuple[list[str], str]:
+    argv = _forecast_files(tmp_path)
+    (tmp_path / "a.csv").write_text("day\u00a0,actual\nd1,1\n", encoding="utf-8")
+    return argv, f"{tmp_path / 'a.csv'}:1: expected header 'day,actual', got 'day\\xa0,actual'"
+
+
+def _no_break_space_day(tmp_path) -> tuple[list[str], str]:
+    return _forecast_files(tmp_path, "2020-01-01,a,1\n", "2020-01-01\u00a0,1\n"), \
+        f"{tmp_path / 'p.csv'}:2: day '2020-01-01' has no actual"
+
+
+def _no_break_space_variant(tmp_path) -> tuple[list[str], str]:
+    return [*_forecast_files(tmp_path), "--variants", "basic-dominant\u00a0"], \
+        "unknown variant 'basic-dominant\\xa0'; known: basic-dominant, " \
+        "centralized-consensus, decentralized-consensus, decentralized-consensus-friends, " \
+        "dominant-decentralized, dominant-mixed"
+
+
 # argparse's type=int alone would run these at seed 10 and with one worker
 def _underscore_forecast_seed(tmp_path) -> tuple[list[str], str]:
     return [*_forecast_files(tmp_path), "--seed", "1_0"], \
@@ -592,7 +612,8 @@ class TestErrorMessages:
         _underscore_actual, _non_ascii_prediction, _underscore_grid_value, _non_ascii_grid_value,
         _underscore_grid_float, _underscore_forecast_seed, _non_ascii_simulate_workers,
         _underscore_sweep_workers, _no_break_space_grid_value, _no_break_space_prediction,
-        _no_break_space_grid_key, _em_space_grid_entry,
+        _no_break_space_grid_key, _em_space_grid_entry, _no_break_space_header,
+        _no_break_space_day, _no_break_space_variant,
     ], ids=lambda case: case.__name__.lstrip("_"))
     def test_is_exactly_one_error_line(self, tmp_path, capsys, case):
         argv, message = case(tmp_path)

@@ -102,6 +102,15 @@ class TestLoadDataset:
         data = load_dataset(str(pred), str(act))
         assert data.sources == {"a": {"d1": 1}} and data.actuals == {"d1": 1}
 
+    def test_a_unicode_space_is_part_of_a_name(self, tmp_path):
+        """Only ASCII whitespace is stripped, so a source "s\u00a0" is not "s"."""
+        pred = tmp_path / "p.csv"
+        pred.write_text("day,source,prediction\nd1,s,1\nd1,s\u00a0,2\n", encoding="utf-8")
+        act = tmp_path / "a.csv"
+        act.write_text("day,actual\nd1,1\n")
+        data = load_dataset(str(pred), str(act))
+        assert data.sources == {"s": {"d1": 1}, "s\u00a0": {"d1": 2}}
+
     def test_missing_file_is_an_io_error(self, tmp_path):
         with pytest.raises(OSError):
             load_dataset(str(tmp_path / "nope.csv"), str(tmp_path / "also_nope.csv"))

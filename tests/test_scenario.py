@@ -8,6 +8,7 @@ import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -408,6 +409,83 @@ def test_no_helper_outlives_a_fanned_out_call(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _src_env() -> dict[str, str]:
+    """This environment, with this tree's src/ first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+# 400 jobs that do nothing, on 4 processes under fork; each job leaves a marker file under
+# argv[1], which a second run of the same job fails to create
+STRESS_RUN = """
+import multiprocessing, sys
+from pathlib import Path
+from gossipvote import scenario as scenario_module
+
+multiprocessing.set_start_method("fork")
+
+def job(index):
+    (Path(sys.argv[1]) / str(index)).touch(exist_ok=False)
+    return index
+
+scenario_module._usable_cpus = lambda: 4  # more processes than CPUs on a small host
+print(scenario_module._map_jobs(job, range(400), 4) == list(range(400)))
+"""
+
+
+def test_every_job_runs_once_with_more_processes_than_cpus(tmp_path):
+    """Four processes contend for the token: a lost update of the job bounds runs a job
+    twice or never, and a torn message hangs them. A run that hangs is killed with its
+    helpers after 60 s."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is not available on this platform")
+    proc = subprocess.Popen([sys.executable, "-c", STRESS_RUN, str(tmp_path)], text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+                            start_new_session=True)  # its own process group, helpers included
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("400 empty jobs on 4 processes did not end within 60 s")
+    assert proc.returncode == 0, err
+    assert out == "True\n"
+    assert sorted(int(path.name) for path in tmp_path.iterdir()) == list(range(400))
+
+
+# a 2-process _map_jobs under fork, whose helper can run `loaded` from this script;
+# prints which of SHARED the process of each job, and then this process, has loaded
+LEAN_FAN_OUT_RUN = """
+import multiprocessing, sys
+from gossipvote import scenario as scenario_module
+
+multiprocessing.set_start_method("fork")
+
+SHARED = {"ctypes", "multiprocessing.sharedctypes", "multiprocessing.heap"}
+
+def loaded(_):
+    return sorted(SHARED & set(sys.modules))
+
+scenario_module._usable_cpus = lambda: 2  # fan out on a one-CPU host too
+started = []
+real_start = multiprocessing.Process.start
+multiprocessing.Process.start = lambda self: started.append(self) or real_start(self)
+print(scenario_module._map_jobs(loaded, range(4), 2), loaded(None), len(started))
+"""
+
+
+def test_a_fan_out_loads_no_ctypes_or_shared_memory():
+    """The job bounds are a token in a pipe, not a shared ctypes array, so neither
+    process loads ctypes, multiprocessing.sharedctypes or its shared-memory heap."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork is not available on this platform")
+    proc = subprocess.run([sys.executable, "-c", LEAN_FAN_OUT_RUN], capture_output=True,
+                          text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[[], [], [], []] [] 1\n"  # one helper started
+
+
 # simulate and a sweep at workers 1 and 2 under the start method argv[1], written
 # under argv[2]; prints the start method in use and how many helpers started
 START_METHOD_RUN = """
@@ -421,11 +499,18 @@ multiprocessing.set_start_method(sys.argv[1], force=True)
 scenario_module._usable_cpus = lambda: 2  # fan out on a one-CPU host too
 take = scenario_module._take
 
-def take_after_a_helper(bounds, from_back=False):
+def front(token):
+    lock, reader, writer = token
+    with lock:  # receive the pair (front, back) and send it back unchanged
+        pair = reader.recv()
+        writer.send(pair)
+    return pair[0]
+
+def take_after_a_helper(token, from_back=False):
     # this process takes no job before a helper has taken one, so helpers run jobs
-    while from_back and bounds[0] == 0:
+    while from_back and front(token) == 0:
         time.sleep(0.01)
-    return take(bounds, from_back)
+    return take(token, from_back)
 
 scenario_module._take = take_after_a_helper
 started = []
